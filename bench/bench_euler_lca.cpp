@@ -1,18 +1,19 @@
 // E4 — ListConstruction and LCA machinery at scale (paper Lemma 2 and the
 // Bender–Farach-Colton technique it builds on, reference [8]).
 //
-// Google-benchmark microbenchmarks: Euler-list construction is O(|V|), the
-// sparse-table index answers LCA queries in O(1), and the binary-lifting
-// LCA in O(log |V|). The absolute numbers are machine-dependent; the shape
-// (linear build, flat O(1) query) is the claim.
+// Google-benchmark microbenchmarks: loading a tree from text (parse, label
+// interning, flat adjacency, rooted view, Euler list and sparse table — the
+// tree's one index) is O(|V| log |V|), and the index answers LCA queries
+// in O(1). The absolute numbers are machine-dependent; the shape
+// (near-linear build, flat O(1) query) is the claim.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
 #include "core/tree_aa.h"
-#include "trees/euler.h"
 #include "trees/generators.h"
 #include "trees/lca.h"
 #include "trees/paths.h"
+#include "trees/serialization.h"
 
 namespace {
 
@@ -23,47 +24,30 @@ LabeledTree benchmark_tree(std::size_t n) {
   return make_random_chainy_tree(n, rng, 0.5);
 }
 
-void BM_EulerListConstruction(benchmark::State& state) {
-  const auto tree = benchmark_tree(static_cast<std::size_t>(state.range(0)));
+void BM_TreeFromText(benchmark::State& state) {
+  const std::string text = tree_to_text(
+      benchmark_tree(static_cast<std::size_t>(state.range(0))));
   for (auto _ : state) {
-    EulerList list(tree);
-    benchmark::DoNotOptimize(list.size());
+    const LabeledTree tree = tree_from_text(text);
+    benchmark::DoNotOptimize(tree.diameter());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_EulerListConstruction)->Range(1 << 10, 1 << 18);
+BENCHMARK(BM_TreeFromText)->Range(1 << 10, 1 << 17);
 
 void BM_SparseLcaBuild(benchmark::State& state) {
   const auto tree = benchmark_tree(static_cast<std::size_t>(state.range(0)));
-  const EulerList list(tree);
+  std::vector<std::uint32_t> depth(tree.n());
+  for (VertexId v = 0; v < tree.n(); ++v) depth[v] = tree.depth(v);
   for (auto _ : state) {
-    SparseLcaIndex idx(tree, list);
+    SparseLcaIndex idx(tree.euler().raw(), depth);
     benchmark::DoNotOptimize(idx.lca(0, 0));
   }
 }
 BENCHMARK(BM_SparseLcaBuild)->Range(1 << 10, 1 << 17);
 
 void BM_SparseLcaQuery(benchmark::State& state) {
-  const auto tree = benchmark_tree(static_cast<std::size_t>(state.range(0)));
-  const EulerList list(tree);
-  const SparseLcaIndex idx(tree, list);
-  Rng rng(7);
-  std::vector<std::pair<VertexId, VertexId>> queries(1024);
-  for (auto& q : queries) {
-    q = {static_cast<VertexId>(rng.index(tree.n())),
-         static_cast<VertexId>(rng.index(tree.n()))};
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto& [u, v] = queries[i++ & 1023];
-    benchmark::DoNotOptimize(idx.lca(u, v));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_SparseLcaQuery)->Range(1 << 10, 1 << 17);
-
-void BM_BinaryLiftingLcaQuery(benchmark::State& state) {
   const auto tree = benchmark_tree(static_cast<std::size_t>(state.range(0)));
   Rng rng(7);
   std::vector<std::pair<VertexId, VertexId>> queries(1024);
@@ -78,7 +62,7 @@ void BM_BinaryLiftingLcaQuery(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_BinaryLiftingLcaQuery)->Range(1 << 10, 1 << 17);
+BENCHMARK(BM_SparseLcaQuery)->Range(1 << 10, 1 << 17);
 
 void BM_ProjectionQuery(benchmark::State& state) {
   const auto tree = benchmark_tree(static_cast<std::size_t>(state.range(0)));

@@ -15,7 +15,9 @@
 // tag); embed one per process and feed it every incoming RBC message.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <optional>
 #include <vector>
@@ -60,14 +62,29 @@ class RbcHub {
                                    Mailbox& out);
 
  private:
+  /// Orders payloads exactly like std::vector's operator< (byte by byte,
+  /// a proper prefix first). Written out with memcmp over the common
+  /// length: GCC 12 at -O3 misreads the bound of the memcmp inlined from
+  /// operator< as possibly negative and fails -Werror=stringop-overread.
+  struct BytesLess {
+    bool operator()(const Bytes& a, const Bytes& b) const {
+      const std::size_t common = std::min(a.size(), b.size());
+      if (common != 0) {
+        const int c = std::memcmp(a.data(), b.data(), common);
+        if (c != 0) return c < 0;
+      }
+      return a.size() < b.size();
+    }
+  };
+
   struct Instance {
     bool echoed = false;
     bool readied = false;
     bool delivered = false;
     std::vector<bool> echo_from;   // who already echoed (one vote each)
     std::vector<bool> ready_from;  // who already sent ready
-    std::map<Bytes, std::size_t> echo_count;
-    std::map<Bytes, std::size_t> ready_count;
+    std::map<Bytes, std::size_t, BytesLess> echo_count;
+    std::map<Bytes, std::size_t, BytesLess> ready_count;
   };
 
   Instance& instance(PartyId broadcaster, std::uint64_t tag);

@@ -7,7 +7,6 @@
 #include "obs/probe.h"
 #include "obs/span.h"
 #include "sim/engine.h"
-#include "trees/euler.h"
 #include "trees/paths.h"
 
 namespace treeaa::core {
@@ -24,9 +23,9 @@ namespace {
 
 /// Merges the honest parties' current TreeAA state into the sample of the
 /// round that just ended: hull size and tree diameter of the estimate set,
-/// plus the max proven-Byzantine count. Distances go through the run's
-/// TreeIndex (O(1) per pair); the values are identical to tree.distance.
-void snapshot_tree_aa(const perf::TreeIndex& index, const sim::Engine& engine,
+/// plus the max proven-Byzantine count. Distances are O(1) per pair on the
+/// tree's own index.
+void snapshot_tree_aa(const LabeledTree& tree, const sim::Engine& engine,
                       const std::vector<TreeAAProcess*>& procs,
                       obs::RoundSample& s) {
   std::vector<VertexId> estimates;
@@ -42,11 +41,11 @@ void snapshot_tree_aa(const perf::TreeIndex& index, const sim::Engine& engine,
   std::uint32_t diameter = 0;
   for (const VertexId u : estimates) {
     for (const VertexId v : estimates) {
-      diameter = std::max(diameter, index.distance(u, v));
+      diameter = std::max(diameter, tree.distance(u, v));
     }
   }
   s.value_diameter = static_cast<double>(diameter);
-  s.hull_size = convex_hull(index.tree(), estimates).size();
+  s.hull_size = convex_hull(tree, estimates).size();
   s.detected_faulty = detected;
 }
 
@@ -64,14 +63,11 @@ RunResult run_tree_aa(const LabeledTree& tree,
                                                                << ")");
   for (const VertexId v : inputs) tree.require_vertex(v);
 
-  // One shared index serves every party's LCA/projection queries and the
-  // per-round probes; it subsumes the Euler list the processes used to get.
-  const perf::TreeIndex index(tree);
   sim::Engine engine(n, std::max<std::size_t>(t, 1), engine_opts);
   std::vector<TreeAAProcess*> procs(n);
   for (PartyId p = 0; p < n; ++p) {
     auto proc =
-        std::make_unique<TreeAAProcess>(index, n, t, p, inputs[p], opts);
+        std::make_unique<TreeAAProcess>(tree, n, t, p, inputs[p], opts);
     procs[p] = proc.get();
     engine.set_process(p, std::move(proc));
   }
@@ -131,7 +127,7 @@ RunResult run_tree_aa(const LabeledTree& tree,
       engine.run(static_cast<Round>(1));
       driver_spans.end_round(round_name(static_cast<Round>(r + 1)));
       if (report != nullptr && probe.current() != nullptr) {
-        snapshot_tree_aa(index, engine, procs, *probe.current());
+        snapshot_tree_aa(tree, engine, procs, *probe.current());
       }
     }
     run_timer.stop();

@@ -75,14 +75,13 @@ struct AgreementCheck {
 };
 
 /// Checks Validity and 1-Agreement of `honest_outputs` against
-/// `honest_inputs` on `tree`. Requires both sets non-empty. Builds a
-/// transient TreeIndex; callers that already hold one should use the
-/// overload below.
+/// `honest_inputs` on `tree`. Requires both sets non-empty. Queries the
+/// tree's own index through a TreeIndex view.
 [[nodiscard]] AgreementCheck check_agreement(
     const LabeledTree& tree, const std::vector<VertexId>& honest_inputs,
     const std::vector<VertexId>& honest_outputs);
 
-/// Same check through a prebuilt TreeIndex: hull membership and pairwise
+/// Same check through a TreeIndex view: hull membership and pairwise
 /// distances are O(1) queries instead of per-pair tree walks.
 [[nodiscard]] AgreementCheck check_agreement(
     const perf::TreeIndex& index, const std::vector<VertexId>& honest_inputs,

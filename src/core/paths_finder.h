@@ -25,10 +25,8 @@
 
 #include "common/types.h"
 #include "core/real_engine.h"
-#include "perf/tree_index.h"
 #include "realaa/real_aa.h"
 #include "sim/process.h"
-#include "trees/euler.h"
 #include "trees/labeled_tree.h"
 
 namespace treeaa::core {
@@ -67,22 +65,13 @@ struct PathsFinderOptions {
 /// The spread bound PathsFinder configures its engine with: |L| - 1.
 [[nodiscard]] double paths_finder_range(const LabeledTree& tree);
 
-/// One party's PathsFinder instance. Local rounds 1..rounds(). The caller
-/// provides the Euler list so that the (identical, deterministic) list is
-/// built once per experiment rather than once per party; `euler` must be
-/// built from `tree` and both must outlive the process.
+/// One party's PathsFinder instance. Local rounds 1..rounds(). The Euler
+/// list is the tree's own (LabeledTree::euler()), built once with the
+/// tree; `tree` must outlive the process.
 class PathsFinderProcess final : public sim::Process {
  public:
-  PathsFinderProcess(const LabeledTree& tree, const EulerList& euler,
-                     std::size_t n, std::size_t t, PartyId self,
-                     VertexId input, PathsFinderOptions opts = {});
-
-  /// Same protocol, backed by a shared TreeIndex: path materialisation uses
-  /// the index's O(1)-per-vertex root_path instead of a parent walk per
-  /// query. `index` must outlive the process. Results are identical to the
-  /// (tree, euler) constructor.
-  PathsFinderProcess(const perf::TreeIndex& index, std::size_t n,
-                     std::size_t t, PartyId self, VertexId input,
+  PathsFinderProcess(const LabeledTree& tree, std::size_t n, std::size_t t,
+                     PartyId self, VertexId input,
                      PathsFinderOptions opts = {});
 
   void on_round_begin(Round r, sim::Mailer& out) override;
@@ -112,9 +101,6 @@ class PathsFinderProcess final : public sim::Process {
 
  private:
   const LabeledTree& tree_;
-  const EulerList& euler_;
-  const perf::TreeIndex* index_ = nullptr;  // fast path when constructed
-                                            // from a TreeIndex
   std::unique_ptr<realaa::RealAgreement> real_;
   std::optional<std::vector<VertexId>> path_;
 };

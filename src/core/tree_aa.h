@@ -26,10 +26,8 @@
 
 #include "common/types.h"
 #include "core/paths_finder.h"
-#include "perf/tree_index.h"
 #include "realaa/real_aa.h"
 #include "sim/process.h"
-#include "trees/euler.h"
 #include "trees/labeled_tree.h"
 
 namespace treeaa::core {
@@ -67,19 +65,13 @@ struct TreeAAOptions {
                                              double j);
 
 /// One party's TreeAA instance. Local rounds 1..tree_aa_rounds(...).
-/// `euler` must be built from `tree`; both must outlive the process.
+/// Every query goes through the tree's own O(1) index: the phase
+/// boundary's projection is one median query and the position of a vertex
+/// on a root-anchored path is its depth + 1. `tree` must outlive the
+/// process.
 class TreeAAProcess final : public sim::Process {
  public:
-  TreeAAProcess(const LabeledTree& tree, const EulerList& euler,
-                std::size_t n, std::size_t t, PartyId self, VertexId input,
-                TreeAAOptions opts = {});
-
-  /// Same protocol, backed by a shared TreeIndex: the phase boundary's
-  /// projection and path-index computations become O(1) LCA queries and
-  /// PathsFinder materialises its path through the index. `index` must
-  /// outlive the process. Results are identical to the (tree, euler)
-  /// constructor.
-  TreeAAProcess(const perf::TreeIndex& index, std::size_t n, std::size_t t,
+  TreeAAProcess(const LabeledTree& tree, std::size_t n, std::size_t t,
                 PartyId self, VertexId input, TreeAAOptions opts = {});
 
   void on_round_begin(Round r, sim::Mailer& out) override;
@@ -122,8 +114,6 @@ class TreeAAProcess final : public sim::Process {
   void finish(double j);
 
   const LabeledTree& tree_;
-  const perf::TreeIndex* index_ = nullptr;  // fast path when constructed
-                                            // from a TreeIndex
   std::size_t n_;
   std::size_t t_;
   PartyId self_;

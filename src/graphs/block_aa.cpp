@@ -77,14 +77,13 @@ BlockRunResult run_block_aa(const BlockIndex& index,
                                     << n << ", t = " << t << ")");
   for (const VertexId v : inputs) index.graph().require_vertex(v);
 
-  // The inner TreeAA runs on the agreement tree through the shared
-  // TreeIndex the BlockIndex already built.
-  const perf::TreeIndex& a_index = index.agreement_index();
+  // The inner TreeAA runs on the agreement tree and its own index.
+  const LabeledTree& a_tree = index.agreement_tree();
   sim::Engine engine(n, std::max<std::size_t>(t, 1), engine_opts);
   std::vector<core::TreeAAProcess*> procs(n);
   for (PartyId p = 0; p < n; ++p) {
     auto proc = std::make_unique<core::TreeAAProcess>(
-        a_index, n, t, p, index.to_agreement(inputs[p]), opts);
+        a_tree, n, t, p, index.to_agreement(inputs[p]), opts);
     procs[p] = proc.get();
     engine.set_process(p, std::move(proc));
   }

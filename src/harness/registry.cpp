@@ -16,7 +16,6 @@
 #include "harness/adversary_spec.h"
 #include "obs/probe.h"
 #include "obs/span.h"
-#include "perf/tree_index.h"
 #include "realaa/adversaries.h"
 #include "sim/engine.h"
 #include "sim/strategies.h"
@@ -401,9 +400,6 @@ RunOutcome run_paths_finder_impl(RunSpec& spec) {
   TREEAA_REQUIRE(spec.vertex_inputs.size() == n);
   core::PathsFinderOptions opts{spec.update, spec.mode, spec.engine,
                                 spec.index_choice};
-  // One shared index serves every party's Euler positions and materialises
-  // output paths without per-call tree walks.
-  const perf::TreeIndex index(tree);
   RunOutcome run;
   run.paths.resize(n);
   const auto cfg = core::paths_finder_config(tree, n, t, opts);
@@ -420,7 +416,7 @@ RunOutcome run_paths_finder_impl(RunSpec& spec) {
       n, t, spec.threads, std::move(spec.adversary), cfg.rounds(),
       [&](PartyId p) {
         return std::make_unique<core::PathsFinderProcess>(
-            index, n, t, p, spec.vertex_inputs[p], opts);
+            tree, n, t, p, spec.vertex_inputs[p], opts);
       },
       [&](PartyId p, const core::PathsFinderProcess& proc) {
         run.paths[p] = proc.path();

@@ -15,7 +15,6 @@
 #include "obs/span.h"
 #include "sim/engine.h"
 #include "sim/strategies.h"
-#include "trees/euler.h"
 
 namespace treeaa::net {
 
@@ -91,7 +90,6 @@ DeployResult run_tree_aa_net(const LabeledTree& tree,
   }
 
   // --- The socket world ------------------------------------------------------
-  const EulerList euler(tree);
   NetOptions net_options;
   net_options.faults = cfg.faults;
   net_options.seed = cfg.seed;
@@ -105,7 +103,7 @@ DeployResult run_tree_aa_net(const LabeledTree& tree,
       runner.set_process(p, make_behavior(cfg.adversary, p, n, fuzz_seed));
     } else {
       auto proc = std::make_unique<core::TreeAAProcess>(
-          tree, euler, n, t, p, inputs[p], cfg.protocol);
+          tree, n, t, p, inputs[p], cfg.protocol);
       net_procs[p] = proc.get();
       runner.set_process(p, std::move(proc));
     }
@@ -127,7 +125,7 @@ DeployResult run_tree_aa_net(const LabeledTree& tree,
     std::vector<core::TreeAAProcess*> sim_procs(n, nullptr);
     for (PartyId p = 0; p < n; ++p) {
       auto proc = std::make_unique<core::TreeAAProcess>(
-          tree, euler, n, t, p, inputs[p], cfg.protocol);
+          tree, n, t, p, inputs[p], cfg.protocol);
       sim_procs[p] = proc.get();
       engine.set_process(p, std::move(proc));
     }

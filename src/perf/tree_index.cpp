@@ -6,33 +6,6 @@
 
 namespace treeaa::perf {
 
-TreeIndex::TreeIndex(const LabeledTree& tree)
-    : tree_(&tree), euler_(tree), lca_(tree, euler_) {}
-
-VertexId TreeIndex::median(VertexId a, VertexId b, VertexId c) const {
-  // Of the three pairwise LCAs two coincide and the third — the deepest —
-  // is the median (it lies on all three pairwise paths).
-  const VertexId ab = lca(a, b);
-  const VertexId bc = lca(b, c);
-  const VertexId ac = lca(a, c);
-  VertexId m = ab;
-  if (depth(bc) > depth(m)) m = bc;
-  if (depth(ac) > depth(m)) m = ac;
-  return m;
-}
-
-std::vector<VertexId> TreeIndex::root_path(VertexId tip) const {
-  tree_->require_vertex(tip);
-  const std::size_t len = static_cast<std::size_t>(depth(tip)) + 1;
-  std::vector<VertexId> path(len);
-  VertexId v = tip;
-  for (std::size_t i = len; i-- > 0;) {
-    path[i] = v;
-    v = tree_->parent(v);
-  }
-  return path;
-}
-
 bool TreeIndex::in_hull(std::span<const VertexId> s, VertexId w) const {
   TREEAA_REQUIRE_MSG(!s.empty(), "hull membership against an empty set");
   // <S> is the union of the paths from one fixed element to every other

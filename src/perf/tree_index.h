@@ -1,25 +1,20 @@
-// TreeIndex — the precomputed query accelerator for one LabeledTree.
+// TreeIndex — the query accelerator view over one LabeledTree.
 //
-// LabeledTree answers lca/distance/median in O(log n) via binary lifting and
-// path() by climbing parent pointers twice. Those costs are invisible in a
-// single protocol run but dominate large sweep grids and the throughput
-// benches: TreeAA's phase-2 hand-off alone performs one projection and one
-// path-index query per party, and check_agreement touches O(k^2) vertex
-// pairs. TreeIndex front-loads the work once per tree:
+// The tree owns its one index: LabeledTree builds the Euler list of
+// ListConstruction and the sparse-table RMQ over it (trees/lca.h) once, at
+// construction, so lca / distance / depth / ancestor / median are O(1) on
+// the tree itself. TreeIndex is a view over that index — constructing one
+// costs nothing — that adds the compound queries the protocols and
+// check_agreement need:
 //
-//   * an Euler list (ListConstruction, shared with the protocols so the
-//     list is built once per experiment instead of once per subsystem);
-//   * a sparse-table RMQ over the tour (trees/lca.h) giving O(1) lca,
-//     distance, depth, ancestor and median queries;
-//   * root-anchored path materialization with a single exact-size
-//     allocation — the paths PathsFinder and TreeAA produce are always
-//     anchored at the root, so a path is just the ancestor chain reversed
-//     and the 1-based index of any vertex on it is depth + 1.
+//   * root-anchored paths: the paths PathsFinder and TreeAA produce are
+//     always anchored at the root, so a path is the ancestor chain reversed
+//     and the 1-based index of any vertex on it is depth + 1;
+//   * hull membership and pairwise-distance maxima with O(1) distances.
 //
-// Every query agrees exactly with the naive LabeledTree walk (the property
-// tests in tests/perf pin this across all generator families); protocols and
-// check_agreement may therefore consult whichever is at hand without
-// affecting determinism.
+// Every query agrees exactly with the naive walks of trees/paths.h and the
+// parent-climbing reference of the tests (tests/perf pins this across all
+// generator families).
 #pragma once
 
 #include <cstdint>
@@ -29,47 +24,46 @@
 #include "common/types.h"
 #include "trees/euler.h"
 #include "trees/labeled_tree.h"
-#include "trees/lca.h"
 
 namespace treeaa::perf {
 
 class TreeIndex {
  public:
-  /// Builds the index: one DFS for the Euler list plus the O(n log n)
-  /// sparse table. `tree` must outlive the index.
-  explicit TreeIndex(const LabeledTree& tree);
+  /// A view over `tree`'s index; O(1). `tree` must outlive the view.
+  explicit TreeIndex(const LabeledTree& tree) : tree_(&tree) {}
 
   [[nodiscard]] const LabeledTree& tree() const { return *tree_; }
-  /// The Euler list of the tree — pass it to PathsFinder/TreeAA processes
-  /// so the list is built once per experiment.
-  [[nodiscard]] const EulerList& euler() const { return euler_; }
+  /// The Euler list of the tree.
+  [[nodiscard]] const EulerList& euler() const { return tree_->euler(); }
 
   [[nodiscard]] VertexId root() const { return tree_->root(); }
   [[nodiscard]] std::size_t n() const { return tree_->n(); }
 
   /// Depth of v (root has depth 0). O(1).
   [[nodiscard]] std::uint32_t depth(VertexId v) const {
-    return lca_.depth(v);
+    return tree_->depth(v);
   }
 
   /// Lowest common ancestor. O(1).
   [[nodiscard]] VertexId lca(VertexId u, VertexId v) const {
-    return lca_.lca(u, v);
+    return tree_->lca(u, v);
   }
 
   /// d(u, v). O(1).
   [[nodiscard]] std::uint32_t distance(VertexId u, VertexId v) const {
-    return lca_.distance(u, v);
+    return tree_->distance(u, v);
   }
 
   /// True iff `a` is an ancestor of `d` (a vertex is its own ancestor). O(1).
   [[nodiscard]] bool is_ancestor(VertexId a, VertexId d) const {
-    return lca_.lca(a, d) == a;
+    return tree_->is_ancestor(a, d);
   }
 
   /// The median m(a, b, c) — the unique vertex on all three pairwise paths.
-  /// O(1): the median is the deepest of the three pairwise LCAs.
-  [[nodiscard]] VertexId median(VertexId a, VertexId b, VertexId c) const;
+  /// O(1).
+  [[nodiscard]] VertexId median(VertexId a, VertexId b, VertexId c) const {
+    return tree_->median(a, b, c);
+  }
 
   /// proj_P(v) for the path with endpoints `front` and `back`: the vertex of
   /// P closest to v, which is the median m(front, back, v). O(1).
@@ -80,7 +74,9 @@ class TreeIndex {
 
   /// The root-anchored path P(root, tip) as a vertex sequence, root first.
   /// One exact-size allocation, O(depth(tip)).
-  [[nodiscard]] std::vector<VertexId> root_path(VertexId tip) const;
+  [[nodiscard]] std::vector<VertexId> root_path(VertexId tip) const {
+    return tree_->path(root(), tip);
+  }
 
   /// 1-based index of `v` on any root-anchored path that contains it (the
   /// paper's v_1 .. v_k with v_1 = root): depth(v) + 1. O(1).
@@ -99,8 +95,6 @@ class TreeIndex {
 
  private:
   const LabeledTree* tree_;
-  EulerList euler_;
-  SparseLcaIndex lca_;
 };
 
 }  // namespace treeaa::perf

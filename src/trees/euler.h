@@ -9,7 +9,8 @@
 // The construction is deterministic (children are visited in ascending label
 // order, which LabeledTree canonicalizes as ascending id order), so every
 // honest party computes the identical list — the property PathsFinder
-// depends on.
+// depends on. LabeledTree builds the list once, at construction, and owns
+// it (LabeledTree::euler()); its O(1) LCA is the RMQ over this tour.
 //
 // Indices are 1-based to match the paper's notation L_1 .. L_|L|.
 #pragma once
@@ -19,17 +20,15 @@
 #include <vector>
 
 #include "common/types.h"
-#include "trees/labeled_tree.h"
 
 namespace treeaa {
+
+class LabeledTree;
 
 /// The list L returned by ListConstruction(T, v_root), with the per-vertex
 /// occurrence index sets L(v) precomputed.
 class EulerList {
  public:
-  /// Runs ListConstruction on `tree` rooted at tree.root(). O(|V|).
-  explicit EulerList(const LabeledTree& tree);
-
   /// |L|. Equals 2|V| - 1 (Lemma 2 guarantees |L| <= 2|V|; recording the
   /// root only on entry and after each child gives exactly 2|V| - 1).
   [[nodiscard]] std::size_t size() const { return list_.size(); }
@@ -39,20 +38,33 @@ class EulerList {
 
   /// The occurrence index set L(v), ascending, 1-based. Non-empty for every
   /// vertex (Lemma 2, property 2).
-  [[nodiscard]] std::span<const std::size_t> occurrences(VertexId v) const;
+  [[nodiscard]] std::span<const std::uint32_t> occurrences(VertexId v) const;
 
   /// min L(v) — the index PathsFinder feeds into RealAA (§6, WLOG choice).
-  [[nodiscard]] std::size_t first_occurrence(VertexId v) const;
+  [[nodiscard]] std::size_t first_occurrence(VertexId v) const {
+    return occurrences(v).front();
+  }
 
   /// max L(v).
-  [[nodiscard]] std::size_t last_occurrence(VertexId v) const;
+  [[nodiscard]] std::size_t last_occurrence(VertexId v) const {
+    return occurrences(v).back();
+  }
 
   /// The raw list (0-based storage; element k is L_{k+1}).
   [[nodiscard]] std::span<const VertexId> raw() const { return list_; }
 
  private:
-  std::vector<VertexId> list_;                        // 0-based storage
-  std::vector<std::vector<std::size_t>> occurrences_;  // 1-based indices
+  friend class LabeledTree;
+
+  EulerList() = default;
+  /// Runs ListConstruction on `tree` rooted at tree.root(). O(|V|). Needs
+  /// only the tree's rooted view.
+  explicit EulerList(const LabeledTree& tree);
+
+  std::vector<VertexId> list_;  // 0-based storage
+  /// L(v) for all v, flat: L(v) is occ_[occ_begin_[v] .. occ_begin_[v + 1]).
+  std::vector<std::uint32_t> occ_;
+  std::vector<std::uint32_t> occ_begin_;
 };
 
 }  // namespace treeaa

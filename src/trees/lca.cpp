@@ -1,72 +1,51 @@
 #include "trees/lca.h"
 
-#include <algorithm>
 #include <bit>
-
-#include "common/check.h"
+#include <utility>
 
 namespace treeaa {
 
-SparseLcaIndex::SparseLcaIndex(const LabeledTree& tree,
-                               const EulerList& euler) {
-  const auto raw = euler.raw();
-  tour_.assign(raw.begin(), raw.end());
-  depth_.resize(tour_.size());
-  first_pos_.assign(tree.n(), ~std::size_t{0});
-  vertex_depth_.resize(tree.n());
-  for (VertexId v = 0; v < tree.n(); ++v) vertex_depth_[v] = tree.depth(v);
-  for (std::size_t k = 0; k < tour_.size(); ++k) {
-    depth_[k] = tree.depth(tour_[k]);
-    if (first_pos_[tour_[k]] == ~std::size_t{0}) first_pos_[tour_[k]] = k;
+SparseLcaIndex::SparseLcaIndex(std::span<const VertexId> tour,
+                               std::vector<std::uint32_t> depth)
+    : depth_(std::move(depth)), first_(depth_.size()) {
+  const std::size_t m = tour.size();
+  for (std::size_t k = m; k-- > 0;) {
+    first_[tour[k]] = static_cast<std::uint32_t>(k);
   }
+  const auto shallower = [&](VertexId x, VertexId y) {
+    return depth_[x] <= depth_[y] ? x : y;
+  };
 
-  // table_[j][k] = position of min-depth entry in tour [k, k + 2^j).
-  const std::size_t m = tour_.size();
-  const std::size_t levels =
-      static_cast<std::size_t>(std::bit_width(m));  // >= 1 since m >= 1
-  table_.assign(levels, {});
-  table_[0].resize(m);
-  for (std::size_t k = 0; k < m; ++k) {
-    table_[0][k] = static_cast<std::uint32_t>(k);
+  std::size_t size = 0;
+  for (std::size_t len = 2; len <= m; len *= 2) {
+    level_begin_.push_back(size);
+    size += m - len + 1;
   }
-  for (std::size_t j = 1; j < levels; ++j) {
+  table_.resize(size);
+  for (std::size_t k = 0; k + 1 < m; ++k) {
+    table_[k] = shallower(tour[k], tour[k + 1]);
+  }
+  for (std::size_t j = 2; j <= level_begin_.size(); ++j) {
     const std::size_t half = std::size_t{1} << (j - 1);
-    const std::size_t len = std::size_t{1} << j;
-    if (len > m) break;
-    table_[j].resize(m - len + 1);
-    for (std::size_t k = 0; k + len <= m; ++k) {
-      const std::uint32_t a = table_[j - 1][k];
-      const std::uint32_t b = table_[j - 1][k + half];
-      table_[j][k] = depth_[a] <= depth_[b] ? a : b;
+    const VertexId* below = table_.data() + level_begin_[j - 2];
+    VertexId* level = table_.data() + level_begin_[j - 1];
+    for (std::size_t k = 0; k + 2 * half <= m; ++k) {
+      level[k] = shallower(below[k], below[k + half]);
     }
   }
 }
 
-std::size_t SparseLcaIndex::argmin(std::size_t a, std::size_t b) const {
-  TREEAA_CHECK(a <= b && b < tour_.size());
-  const std::size_t len = b - a + 1;
-  const std::size_t j =
-      static_cast<std::size_t>(std::bit_width(len)) - 1;  // floor(log2 len)
-  if (j >= table_.size() || table_[j].empty()) {
-    // Degenerate: single-level table (m == 1).
-    return a;
-  }
-  const std::uint32_t x = table_[j][a];
-  const std::uint32_t y = table_[j][b + 1 - (std::size_t{1} << j)];
-  return depth_[x] <= depth_[y] ? x : y;
-}
-
 VertexId SparseLcaIndex::lca(VertexId u, VertexId v) const {
-  TREEAA_REQUIRE(u < first_pos_.size() && v < first_pos_.size());
-  std::size_t a = first_pos_[u];
-  std::size_t b = first_pos_[v];
+  if (u == v) return u;
+  std::size_t a = first_[u];
+  std::size_t b = first_[v];
   if (a > b) std::swap(a, b);
-  return tour_[argmin(a, b)];
-}
-
-std::uint32_t SparseLcaIndex::distance(VertexId u, VertexId v) const {
-  const VertexId w = lca(u, v);
-  return vertex_depth_[u] + vertex_depth_[v] - 2 * vertex_depth_[w];
+  // b - a + 1 >= 2, so j = floor(log2(b - a + 1)) >= 1.
+  const std::size_t j = static_cast<std::size_t>(std::bit_width(b - a + 1)) - 1;
+  const VertexId* level = table_.data() + level_begin_[j - 1];
+  const VertexId x = level[a];
+  const VertexId y = level[b + 1 - (std::size_t{1} << j)];
+  return depth_[x] <= depth_[y] ? x : y;
 }
 
 }  // namespace treeaa

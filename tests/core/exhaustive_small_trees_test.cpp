@@ -20,7 +20,7 @@ LabeledTree tree_from_pruefer(const std::vector<std::size_t>& code,
                               std::size_t k) {
   std::vector<std::string> labels;
   for (std::size_t i = 0; i < k; ++i) {
-    labels.push_back("v" + std::to_string(i));
+    labels.push_back(std::string("v").append(std::to_string(i)));
   }
   std::vector<std::size_t> deg(k, 1);
   for (const std::size_t x : code) ++deg[x];
@@ -101,7 +101,7 @@ TEST_P(ExhaustiveSmallTrees, BaselineHoldsOnEveryTreeShape) {
 TEST_P(ExhaustiveSmallTrees, EulerPropertiesOnEveryTreeShape) {
   const std::size_t k = GetParam();
   for (const auto& tree : all_trees(k)) {
-    const EulerList L(tree);
+    const EulerList& L = tree.euler();
     ASSERT_EQ(L.size(), 2 * k - 1);
     for (std::size_t i = 1; i < L.size(); ++i) {
       const auto nbrs = tree.neighbors(L.at(i));

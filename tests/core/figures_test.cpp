@@ -40,7 +40,7 @@ TEST(Figure4, RootPathsThroughV4AndV8IntersectTheHonestHull) {
 // honest Euler indices yields a root path through the hull (Lemma 3).
 TEST(Figure4, Lemma3HoldsForEveryIndexInTheHonestWindow) {
   const auto tree = make_figure3_tree();
-  const EulerList L(tree);
+  const EulerList& L = tree.euler();
   const std::vector<VertexId> honest{*tree.find("v3"), *tree.find("v6"),
                                      *tree.find("v5")};
   std::size_t lo = L.size(), hi = 1;

@@ -1,9 +1,10 @@
-// Property tests pinning perf::TreeIndex against the naive LabeledTree
-// walks. TreeIndex is consulted on the protocols' hot paths (projection,
-// path indexing) and by check_agreement, so every query must agree exactly
-// with the O(log n) / pointer-climbing reference implementation — across
-// every generator family plus the chainy trees, exhaustively on small
-// trees and on random samples on larger ones.
+// Property tests pinning perf::TreeIndex — a view over the tree's own O(1)
+// index — against the independent parent-climbing reference
+// (tests/support/tree_reference.h) and the naive walks of trees/paths.h.
+// TreeIndex is consulted on the protocols' hot paths (projection, path
+// indexing) and by check_agreement, so every query must agree exactly —
+// across every generator family plus the chainy trees, exhaustively on
+// small trees and on random samples on larger ones.
 #include "perf/tree_index.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "support/tree_reference.h"
 #include "trees/generators.h"
 #include "trees/paths.h"
 
@@ -65,11 +67,11 @@ TEST(TreeIndexTest, PairQueriesMatchNaiveWalks) {
     EXPECT_EQ(index.root(), s.tree.root());
     const auto vs = query_vertices(s.tree, rng);
     for (const VertexId u : vs) {
-      EXPECT_EQ(index.depth(u), s.tree.depth(u));
+      EXPECT_EQ(index.depth(u), reference::depth(s.tree, u));
       for (const VertexId v : vs) {
-        EXPECT_EQ(index.lca(u, v), s.tree.lca(u, v));
-        EXPECT_EQ(index.distance(u, v), s.tree.distance(u, v));
-        EXPECT_EQ(index.is_ancestor(u, v), s.tree.is_ancestor(u, v));
+        EXPECT_EQ(index.lca(u, v), reference::lca(s.tree, u, v));
+        EXPECT_EQ(index.distance(u, v), reference::distance(s.tree, u, v));
+        EXPECT_EQ(index.is_ancestor(u, v), reference::lca(s.tree, u, v) == u);
       }
     }
   }
@@ -84,7 +86,7 @@ TEST(TreeIndexTest, MedianAndProjectionMatchNaiveWalks) {
     for (const VertexId a : vs) {
       for (const VertexId b : vs) {
         for (const VertexId c : vs) {
-          const VertexId want = s.tree.median(a, b, c);
+          const VertexId want = reference::median(s.tree, a, b, c);
           EXPECT_EQ(index.median(a, b, c), want);
           // proj_P(v) with P = P(a, b) is the same median.
           EXPECT_EQ(index.project_onto_path(a, b, c), want);
@@ -101,7 +103,7 @@ TEST(TreeIndexTest, RootPathsMatchNaiveWalks) {
     const perf::TreeIndex index(s.tree);
     for (const VertexId tip : query_vertices(s.tree, rng)) {
       const auto got = index.root_path(tip);
-      const auto want = s.tree.path(s.tree.root(), tip);
+      const auto want = reference::path(s.tree, s.tree.root(), tip);
       EXPECT_EQ(got, want);
       // The paper's 1-based v_1 .. v_k indexing along any root-anchored
       // path: index_on_root_path(v) must equal v's position in the walk.
@@ -145,7 +147,7 @@ TEST(TreeIndexTest, MaxPairwiseDistanceMatchesNaiveWalks) {
     std::uint32_t want = 0;
     for (const VertexId u : a) {
       for (const VertexId v : b) {
-        want = std::max(want, s.tree.distance(u, v));
+        want = std::max(want, reference::distance(s.tree, u, v));
       }
     }
     EXPECT_EQ(index.max_pairwise_distance(a, b), want);

@@ -193,8 +193,8 @@ TEST(Server, GlobalQueueDepthShedsQueueFull) {
   constexpr int kBurst = 6;
   for (int i = 0; i < kBurst; ++i) {
     // Distinct tenants so the per-tenant cap never fires first.
-    client.open(request(("t" + std::to_string(i)).c_str(), "tree_aa",
-                        static_cast<std::uint64_t>(i)));
+    client.open(request(std::string("t").append(std::to_string(i)).c_str(),
+                        "tree_aa", static_cast<std::uint64_t>(i)));
   }
   const auto events = drain_client(client);
   server.request_drain();

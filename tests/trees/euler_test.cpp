@@ -15,7 +15,7 @@ namespace {
 
 TEST(EulerList, Figure3WorkedExample) {
   const auto t = make_figure3_tree();
-  const EulerList L(t);
+  const EulerList& L = t.euler();
   const std::vector<std::string> expected = {
       "v1", "v2", "v3", "v6", "v3", "v7", "v3", "v2",
       "v4", "v8", "v4", "v2", "v5", "v2", "v1"};
@@ -27,7 +27,7 @@ TEST(EulerList, Figure3WorkedExample) {
 
 TEST(EulerList, Figure3OccurrenceSets) {
   const auto t = make_figure3_tree();
-  const EulerList L(t);
+  const EulerList& L = t.euler();
   auto occ = [&](const char* label) {
     const auto o = L.occurrences(*t.find(label));
     return std::vector<std::size_t>(o.begin(), o.end());
@@ -42,7 +42,7 @@ TEST(EulerList, Figure3OccurrenceSets) {
 
 TEST(EulerList, SingleVertexTree) {
   const auto t = LabeledTree::single("a");
-  const EulerList L(t);
+  const EulerList& L = t.euler();
   EXPECT_EQ(L.size(), 1u);
   EXPECT_EQ(L.at(1), 0u);
   EXPECT_EQ(L.first_occurrence(0), 1u);
@@ -51,7 +51,7 @@ TEST(EulerList, SingleVertexTree) {
 
 TEST(EulerList, IndexOutOfRangeThrows) {
   const auto t = make_figure3_tree();
-  const EulerList L(t);
+  const EulerList& L = t.euler();
   EXPECT_THROW((void)L.at(0), std::invalid_argument);
   EXPECT_THROW((void)L.at(L.size() + 1), std::invalid_argument);
 }
@@ -74,7 +74,7 @@ class EulerProperty : public ::testing::TestWithParam<std::uint64_t> {
 // Lemma 2, property 1: consecutive list entries are adjacent.
 TEST_P(EulerProperty, ConsecutiveEntriesAdjacent) {
   const auto t = make_tree();
-  const EulerList L(t);
+  const EulerList& L = t.euler();
   for (std::size_t i = 1; i < L.size(); ++i) {
     const auto nbrs = t.neighbors(L.at(i));
     EXPECT_TRUE(std::binary_search(nbrs.begin(), nbrs.end(), L.at(i + 1)))
@@ -85,7 +85,7 @@ TEST_P(EulerProperty, ConsecutiveEntriesAdjacent) {
 // Lemma 2, property 2: |L| <= 2|V| and every vertex occurs.
 TEST_P(EulerProperty, SizeBoundAndCoverage) {
   const auto t = make_tree();
-  const EulerList L(t);
+  const EulerList& L = t.euler();
   EXPECT_LE(L.size(), 2 * t.n());
   EXPECT_EQ(L.size(), 2 * t.n() - 1);  // this construction is exact
   for (VertexId v = 0; v < t.n(); ++v) {
@@ -101,7 +101,7 @@ TEST_P(EulerProperty, SizeBoundAndCoverage) {
 // max L(v)].
 TEST_P(EulerProperty, SubtreeWindowCharacterization) {
   const auto t = make_tree();
-  const EulerList L(t);
+  const EulerList& L = t.euler();
   for (VertexId v = 0; v < t.n(); ++v) {
     const std::size_t lo = L.first_occurrence(v);
     const std::size_t hi = L.last_occurrence(v);
@@ -119,7 +119,7 @@ TEST_P(EulerProperty, SubtreeWindowCharacterization) {
 // between an occurrence of v and one of v'.
 TEST_P(EulerProperty, LcaInEveryWindow) {
   const auto t = make_tree();
-  const EulerList L(t);
+  const EulerList& L = t.euler();
   Rng rng(GetParam() ^ 0xF00D);
   for (int trial = 0; trial < 50; ++trial) {
     const auto v = static_cast<VertexId>(rng.index(t.n()));
@@ -139,11 +139,12 @@ TEST_P(EulerProperty, LcaInEveryWindow) {
   }
 }
 
-// Determinism: every party building the list gets the identical result.
+// Determinism: every party building the tree gets the identical list.
 TEST_P(EulerProperty, ConstructionIsDeterministic) {
-  const auto t = make_tree();
-  const EulerList a(t);
-  const EulerList b(t);
+  const auto t1 = make_tree();
+  const auto t2 = make_tree();
+  const EulerList& a = t1.euler();
+  const EulerList& b = t2.euler();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 1; i <= a.size(); ++i) EXPECT_EQ(a.at(i), b.at(i));
 }
