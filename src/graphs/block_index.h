@@ -42,7 +42,7 @@ namespace treeaa::graphs {
 
 class BlockIndex {
  public:
-  /// Builds the decomposition, the agreement tree, the TreeIndex over it,
+  /// Builds the decomposition, the agreement tree (which indexes itself),
   /// and the block-node potentials. Requires every block to be an edge,
   /// clique, or cycle (the generator families); throws otherwise.
   explicit BlockIndex(const Graph& g);
@@ -57,10 +57,6 @@ class BlockIndex {
   [[nodiscard]] const AgreementTree& agreement() const { return agreement_; }
   [[nodiscard]] const LabeledTree& agreement_tree() const {
     return agreement_.tree;
-  }
-  /// The shared TreeIndex over A(G) — what BlockAA's inner TreeAA runs on.
-  [[nodiscard]] const perf::TreeIndex& agreement_index() const {
-    return index_;
   }
 
   [[nodiscard]] std::size_t n() const { return graph_.n(); }
