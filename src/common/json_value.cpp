@@ -32,6 +32,15 @@ const std::vector<std::pair<std::string, JsonValue>>& JsonValue::members()
   return members_;
 }
 
+bool JsonValue::is_flat_object() const {
+  if (kind_ != Kind::kObject) return false;
+  for (const auto& member : members_) {
+    const Kind kind = member.second.kind_;
+    if (kind == Kind::kArray || kind == Kind::kObject) return false;
+  }
+  return true;
+}
+
 const JsonValue* JsonValue::find(std::string_view key) const {
   if (kind_ != Kind::kObject) return nullptr;
   for (const auto& [k, v] : members_) {

@@ -1,14 +1,13 @@
-// Minimal recursive JSON reader shared by every layer that ingests nested
+// The repository's one JSON reader, shared by every layer that ingests
 // documents: sweep specs (src/exp), adversary specs (src/harness), the hunt
-// corpus (src/hunt), and the trace tool.
+// corpus (src/hunt), bench baselines, and the trace tool (run reports, span
+// files, and JSONL transcripts, whose lines are flat objects). Writing goes
+// through obs/json.h.
 //
-// The observability subsystem (obs/json.h) deliberately ships only a *flat*
-// object parser — enough to round-trip trace lines. Nested inputs (scenario
-// arrays, axis lists, adversary parameter objects) use this small document
-// reader instead. It is a strict RFC 8259 subset: objects, arrays, strings
-// (ASCII escapes), doubles, bools, null — no comments, no trailing commas.
-// Object members keep document order, which the spec layer uses for
-// deterministic error messages.
+// It is a strict RFC 8259 subset: objects, arrays, strings (ASCII escapes),
+// doubles, bools, null — no comments, no trailing commas. Object members
+// keep document order, which the spec layer uses for deterministic error
+// messages.
 #pragma once
 
 #include <memory>
@@ -45,6 +44,10 @@ class JsonValue {
   [[nodiscard]] const std::vector<JsonValue>& items() const;
   [[nodiscard]] const std::vector<std::pair<std::string, JsonValue>>&
   members() const;
+
+  /// True for an object whose members are all scalars (null, bool, number
+  /// or string) — the shape of every JSONL trace line.
+  [[nodiscard]] bool is_flat_object() const;
 
   /// Object member lookup; nullptr when absent (or not an object).
   [[nodiscard]] const JsonValue* find(std::string_view key) const;

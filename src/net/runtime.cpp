@@ -160,7 +160,6 @@ void NetRunner::Party::read_link(PeerLink& link) {
     if (res.n < sizeof(buf)) break;  // drained (or peer closed)
   }
   while (auto body = link.reader.next_body()) {
-    ++link.rx.frames_received;
     auto frame = decode_frame_body(*body);
     if (!frame.has_value()) {
       ++link.rx.decode_errors;
@@ -179,7 +178,10 @@ void NetRunner::Party::read_link(PeerLink& link) {
         }
       }
       link.barrier_cursor = std::max(link.barrier_cursor, frame->round);
-    } else if (frame->round <= link.barrier_cursor) {
+      continue;
+    }
+    ++link.rx.frames_received;
+    if (frame->round <= link.barrier_cursor) {
       // Behind the link's barrier: a fault-delayed frame surfacing late.
       ++link.rx.stale_discarded;
     } else {
@@ -267,15 +269,22 @@ void NetRunner::Party::run_rounds(Round rounds) {
   std::vector<sim::Envelope> outbox;
   for (Round r = 1; r <= rounds; ++r) {
     const std::uint64_t round_begin = spans != nullptr ? spans->now_ns() : 0;
+    const bool crashed = crash.has_value() && r >= *crash;
     // 1. Fault-delayed frames now due go on the wire first, still carrying
     //    their original round tag (the receiver discards them as stale —
-    //    see the class comment in runtime.h).
+    //    see the class comment in runtime.h). A crashed party sends nothing:
+    //    a held frame sent after its last barrier could reach a peer or
+    //    not, depending on when that peer finishes reading.
     for (PartyId q = 0; q < n; ++q) {
       if (q == self) continue;
       PeerLink& link = links[q];
       while (!link.holdback.empty() && link.holdback.begin()->first <= r) {
         for (PeerLink::HeldFrame& held : link.holdback.begin()->second) {
-          append_data_frame(link, held.tag, std::move(held.payload));
+          if (crashed) {
+            ++link.tx.suppressed;
+          } else {
+            append_data_frame(link, held.tag, std::move(held.payload));
+          }
         }
         link.holdback.erase(link.holdback.begin());
       }
@@ -310,7 +319,6 @@ void NetRunner::Party::run_rounds(Round rounds) {
         per_dest[e.to].push_back(std::move(e.payload));
       }
     }
-    const bool crashed = crash.has_value() && r >= *crash;
     for (PartyId q = 0; q < n; ++q) {
       if (q == self) continue;
       PeerLink& link = links[q];

@@ -64,20 +64,46 @@ struct NetOptions {
 };
 
 /// Counters for one directed link, merged from the sender's and the
-/// receiver's runtimes after the run.
+/// receiver's runtimes after the run. Frame counters count data frames
+/// only; barrier frames show up in the byte counters alone. On a link
+/// whose framing stays intact they obey (tests/net/runtime_test.cpp):
+///
+///   offered − dropped − suppressed + duplicated = frames_sent + held
+///   frames_sent = frames_received = delivered + stale_discarded
+///   bytes_sent = bytes_received
+///
+/// where `offered` is what the sender's protocol queued for the link,
+/// `delivered` is what reached its inboxes, and `held` counts the delayed
+/// frames whose due round lies past the run's last round (never sent).
 struct LinkStats {
-  std::uint64_t frames_sent = 0;  // data frames put on the wire
-  std::uint64_t bytes_sent = 0;   // wire bytes incl. framing and barriers
+  /// Data frames put on the wire, duplicates and late delayed frames
+  /// included.
+  std::uint64_t frames_sent = 0;
+  /// Wire bytes written: data frames and barrier frames, framing included.
+  std::uint64_t bytes_sent = 0;
+  /// Data frames the receiver decoded.
   std::uint64_t frames_received = 0;
+  /// Wire bytes read: data frames and barrier frames, framing included.
   std::uint64_t bytes_received = 0;
+  /// Data frames the fault plan dropped (never sent).
   std::uint64_t dropped = 0;
+  /// Data frames the fault plan held for a later round.
   std::uint64_t delayed = 0;
+  /// Data frames the fault plan sent twice (counted once per original).
   std::uint64_t duplicated = 0;
+  /// Data frames whose payload bits the fault plan flipped.
   std::uint64_t corrupted = 0;
-  std::uint64_t suppressed = 0;        // crash send omissions
-  std::uint64_t stale_discarded = 0;   // frames behind the barrier cursor
-  std::uint64_t decode_errors = 0;     // undecodable frame bodies
-  std::uint64_t payload_copies = 0;    // send-path byte copies (0 when clean)
+  /// Data frames a crashed sender never sent: queued at or after its crash
+  /// round, or held by a delay and due at or after it.
+  std::uint64_t suppressed = 0;
+  /// Data frames that arrived tagged at or below the link's barrier
+  /// cursor (a delayed frame surfacing late) and were never delivered.
+  std::uint64_t stale_discarded = 0;
+  /// Frame bodies that failed to decode, plus one when the framing itself
+  /// broke and the link stopped being read.
+  std::uint64_t decode_errors = 0;
+  /// Send-path byte copies of a payload (0 on a clean plan).
+  std::uint64_t payload_copies = 0;
 
   void add(const LinkStats& other);
 };

@@ -67,7 +67,7 @@ class ProbeTracer final : public sim::Tracer {
 ///   {"ev":"corrupt","round":R,"party":P}
 ///   {"ev":"deliver","round":R}
 /// With payloads enabled, send/byz lines gain "payload":"<hex>". Every line
-/// is a flat object, round-trippable via obs::parse_flat_json_object.
+/// is a flat object that parses as a JsonValue (common/json_value.h).
 class JsonlTracer final : public sim::Tracer {
  public:
   explicit JsonlTracer(bool payloads = false) : payloads_(payloads) {}

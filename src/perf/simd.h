@@ -5,13 +5,16 @@
 // small set of primitives: little-endian f64 store/load, bulk byte copies,
 // varint encode/decode against a bounds-checked cursor, and batch
 // finiteness checks. This header provides them once, dispatched at build
-// time to the widest instruction set the compiler targets:
+// time:
 //
-//   avx2    — 32-byte copies, 4-wide f64 finiteness (x86 with -mavx2)
-//   sse2    — 16-byte copies, 2-wide f64 finiteness (any x86-64 build)
-//   neon    — 16-byte copies, 2-wide f64 finiteness (aarch64)
-//   scalar  — portable byte loops (any target; forced by -DTREEAA_SIMD=OFF,
-//             which defines TREEAA_SIMD_FORCE_SCALAR)
+//   sse2    — 16-byte copies, 2-wide f64 finiteness (any x86-64 build,
+//             -mavx2 builds included)
+//   scalar  — portable byte loops (every other target, aarch64 included;
+//             forced by -DTREEAA_SIMD=OFF, which defines
+//             TREEAA_SIMD_FORCE_SCALAR)
+//
+// Only arms that some build actually compiles are kept: wider x86 or NEON
+// arms would need a CI leg to keep them honest.
 //
 // Every active primitive has a reference twin in perf::simd::scalar that is
 // ALWAYS compiled, whatever the dispatch level; the codec golden tests
@@ -27,19 +30,9 @@
 #include <cstdint>
 #include <cstring>
 
-#if defined(TREEAA_SIMD_FORCE_SCALAR)
-#define TREEAA_SIMD_LEVEL_SCALAR 1
-#elif defined(__AVX2__)
-#define TREEAA_SIMD_LEVEL_AVX2 1
-#include <immintrin.h>
-#elif defined(__SSE2__)
+#if !defined(TREEAA_SIMD_FORCE_SCALAR) && defined(__SSE2__)
 #define TREEAA_SIMD_LEVEL_SSE2 1
 #include <emmintrin.h>
-#elif defined(__aarch64__) && defined(__ARM_NEON)
-#define TREEAA_SIMD_LEVEL_NEON 1
-#include <arm_neon.h>
-#else
-#define TREEAA_SIMD_LEVEL_SCALAR 1
 #endif
 
 namespace treeaa::perf::simd {
@@ -52,12 +45,8 @@ inline constexpr bool kLittleEndian =
 #endif
 
 inline constexpr const char* kDispatch =
-#if defined(TREEAA_SIMD_LEVEL_AVX2)
-    "avx2";
-#elif defined(TREEAA_SIMD_LEVEL_SSE2)
+#if defined(TREEAA_SIMD_LEVEL_SSE2)
     "sse2";
-#elif defined(TREEAA_SIMD_LEVEL_NEON)
-    "neon";
 #else
     "scalar";
 #endif
@@ -123,30 +112,16 @@ inline void store_f64_le(std::uint8_t* dst, double v) {
   }
 }
 
-/// Bulk byte copy through the widest available vector registers. Ranges may
-/// not overlap (the codecs copy between distinct buffers).
+/// Bulk byte copy through 16-byte vector registers where available. Ranges
+/// may not overlap (the codecs copy between distinct buffers).
 inline void copy_bytes(std::uint8_t* dst, const std::uint8_t* src,
                        std::size_t n) {
-#if defined(TREEAA_SIMD_LEVEL_AVX2)
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i chunk =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), chunk);
-  }
-  if (i < n) std::memcpy(dst + i, src + i, n - i);
-#elif defined(TREEAA_SIMD_LEVEL_SSE2)
+#if defined(TREEAA_SIMD_LEVEL_SSE2)
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
     const __m128i chunk =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
     _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), chunk);
-  }
-  if (i < n) std::memcpy(dst + i, src + i, n - i);
-#elif defined(TREEAA_SIMD_LEVEL_NEON)
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    vst1q_u8(dst + i, vld1q_u8(src + i));
   }
   if (i < n) std::memcpy(dst + i, src + i, n - i);
 #else
@@ -158,18 +133,7 @@ inline void copy_bytes(std::uint8_t* dst, const std::uint8_t* src,
 /// an exponent-bits test — bits & 0x7ff0.. != 0x7ff0.. — which vectorizes as
 /// integer ops, avoiding per-element FP classify calls.
 [[nodiscard]] inline bool all_finite_f64(const double* v, std::size_t n) {
-#if defined(TREEAA_SIMD_LEVEL_AVX2)
-  const __m256i exp_mask = _mm256_set1_epi64x(0x7ff0000000000000LL);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i bits =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    const __m256i exp = _mm256_and_si256(bits, exp_mask);
-    const __m256i bad = _mm256_cmpeq_epi64(exp, exp_mask);
-    if (_mm256_movemask_epi8(bad) != 0) return false;
-  }
-  return scalar::all_finite_f64(v + i, n - i);
-#elif defined(TREEAA_SIMD_LEVEL_SSE2)
+#if defined(TREEAA_SIMD_LEVEL_SSE2)
   const __m128i exp_mask = _mm_set1_epi64x(0x7ff0000000000000LL);
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) {
@@ -182,18 +146,6 @@ inline void copy_bytes(std::uint8_t* dst, const std::uint8_t* src,
     const __m128i hi = _mm_shuffle_epi32(eq32, _MM_SHUFFLE(2, 3, 0, 1));
     const __m128i bad = _mm_and_si128(eq32, hi);
     if (_mm_movemask_epi8(bad) != 0) return false;
-  }
-  return scalar::all_finite_f64(v + i, n - i);
-#elif defined(TREEAA_SIMD_LEVEL_NEON)
-  const uint64x2_t exp_mask = vdupq_n_u64(0x7ff0000000000000ULL);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t bits = vreinterpretq_u64_f64(vld1q_f64(v + i));
-    const uint64x2_t exp = vandq_u64(bits, exp_mask);
-    const uint64x2_t bad = vceqq_u64(exp, exp_mask);
-    if (vgetq_lane_u64(bad, 0) != 0 || vgetq_lane_u64(bad, 1) != 0) {
-      return false;
-    }
   }
   return scalar::all_finite_f64(v + i, n - i);
 #else

@@ -16,10 +16,11 @@
 //
 // Everything is deterministic given the processes and the adversary, so any
 // execution reproduces exactly — including at EngineOptions::threads > 1,
-// where the send and delivery phases fan honest parties out over a worker
-// pool with static chunking and merge per-lane results in lane order, so
-// queued-message order, the adversary's rushing view, traces, stats, and
-// every report are byte-identical to the serial engine (docs/PERF.md).
+// where the send and delivery phases fork honest parties out over a worker
+// pool with static chunking, join, and concatenate per-lane results in lane
+// order, so queued-message order, the adversary's rushing view, traces,
+// stats, and every report are byte-identical to the serial engine
+// (docs/PERF.md).
 #pragma once
 
 #include <memory>
@@ -28,7 +29,6 @@
 #include "common/check.h"
 #include "perf/arena.h"
 #include "perf/parallel.h"
-#include "perf/spsc.h"
 #include "sim/adversary.h"
 #include "sim/envelope.h"
 #include "sim/link.h"
@@ -123,23 +123,15 @@ class Engine {
   std::vector<std::size_t> inbox_offsets_;  // recipient p owns [p, p + 1)
 
   // Parallel-phase state. arenas_[lane] recycles payload control blocks for
-  // the Mailer running on that lane (one arena at threads_ == 1).
-  //
-  // Lane handoff is streaming: worker-owned lanes push envelopes into their
-  // bounded SPSC ring (rings_[lane]) while the dispatching thread drains the
-  // rings concurrently, strictly in lane order (drain_cursor_), so queued_
-  // receives messages in exactly the serial party-ascending order.
-  // Caller-owned lanes (those the dispatching thread itself executes) keep
-  // plain unbounded staging_ vectors instead — the dispatcher cannot drain
-  // while it is producing, so a bounded ring would deadlock; their staging
-  // is merged wholesale when the drain cursor reaches them.
+  // the Mailer running on that lane (one arena at threads_ == 1). In the
+  // parallel send phase each lane's Mailer writes to staging_[lane]; after
+  // the join the dispatcher concatenates the lanes in lane order into
+  // queued_, which is exactly the serial party-ascending order.
   // recycle_cursor_ round-robins freed payloads across arenas so every
   // lane's pool stays warm.
   perf::WorkerPool::Lease pool_;
   std::vector<perf::PayloadPool> arenas_;
   std::vector<std::vector<Envelope>> staging_;
-  std::vector<std::unique_ptr<perf::SpscRing<Envelope>>> rings_;
-  std::size_t drain_cursor_ = 0;
   std::size_t recycle_cursor_ = 0;
 
   TrafficStats stats_;

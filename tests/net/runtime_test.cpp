@@ -6,6 +6,8 @@
 
 #include <chrono>
 #include <map>
+#include <memory>
+#include <string>
 #include <thread>
 
 #include "obs/metrics.h"
@@ -78,8 +80,8 @@ TEST(NetRunner, CleanMeshMatchesEngineDelivery) {
   const LinkStats totals = runner.totals();
   // n * (n-1) directed links, one data frame each per round.
   EXPECT_EQ(totals.frames_sent, n * (n - 1) * rounds);
-  EXPECT_EQ(totals.frames_sent, totals.frames_received - totals.frames_sent)
-      << "every link also carries one barrier per round";
+  EXPECT_EQ(totals.frames_received, totals.frames_sent)
+      << "frame counters count data frames only, never barriers";
   EXPECT_EQ(totals.dropped + totals.stale_discarded + totals.decode_errors,
             0u);
 }
@@ -165,6 +167,67 @@ TEST(NetRunner, FaultCountersAreSeedDeterministic) {
   EXPECT_EQ(a.bytes_sent, b.bytes_sent);
 }
 
+// The frame conservation law documented on LinkStats, checked on every
+// single-fault plan and on delay combined with a crash. `held` (delayed
+// frames due past the last round, never sent) has no counter of its own, so
+// the law names it and bounds it by `delayed`.
+TEST(NetRunner, FrameCountersObeyTheConservationLaw) {
+  const std::size_t n = 4;
+  const Round rounds = 8;
+  // One broadcast per party per round: one frame per directed link.
+  const std::uint64_t offered = n * (n - 1) * rounds;
+  std::map<std::string, LinkStats> by_plan;
+  for (const char* spec : {"", "drop=0.3", "dup=0.3", "delay=0.3",
+                           "corrupt=0.3", "crash=1@3",
+                           "delay=0.3,crash=2@4"}) {
+    SCOPED_TRACE(spec);
+    NetOptions options;
+    options.faults = FaultPlan::parse(spec);
+    options.seed = 9;
+    NetRunner runner(n, options);
+    for (PartyId p = 0; p < n; ++p) {
+      runner.set_process(p, std::make_unique<ChatterProcess>());
+    }
+    runner.run(rounds);
+    const LinkStats t = runner.totals();
+    by_plan[spec] = t;
+
+    const std::uint64_t queued =
+        offered - t.dropped - t.suppressed + t.duplicated;
+    ASSERT_GE(queued, t.frames_sent);
+    const std::uint64_t held = queued - t.frames_sent;
+    EXPECT_LE(held, t.delayed);
+    if (t.delayed == 0) {
+      EXPECT_EQ(held, 0u);
+    }
+
+    std::uint64_t delivered = 0;
+    for (PartyId p = 0; p < n; ++p) {
+      const auto& chatter = dynamic_cast<ChatterProcess&>(runner.process(p));
+      for (const auto& [round, inbox] : chatter.received_) {
+        for (const auto& [from, payload] : inbox) {
+          if (from != p) ++delivered;
+        }
+      }
+    }
+    EXPECT_EQ(t.frames_received, t.frames_sent);
+    EXPECT_EQ(t.frames_received, delivered + t.stale_discarded);
+    EXPECT_EQ(t.bytes_received, t.bytes_sent);
+    EXPECT_EQ(t.decode_errors, 0u);
+  }
+  // Each single-fault plan fired its own counter.
+  EXPECT_GT(by_plan["drop=0.3"].dropped, 0u);
+  EXPECT_GT(by_plan["dup=0.3"].duplicated, 0u);
+  EXPECT_GT(by_plan["corrupt=0.3"].corrupted, 0u);
+  EXPECT_GT(by_plan["crash=1@3"].suppressed, 0u);
+  // With delay alone, a delayed frame is either discarded as stale or
+  // still held when the run ends.
+  const LinkStats& delayed = by_plan["delay=0.3"];
+  EXPECT_GT(delayed.stale_discarded, 0u);
+  EXPECT_EQ(delayed.stale_discarded + (offered - delayed.frames_sent),
+            delayed.delayed);
+}
+
 TEST(NetRunner, PlanCrashedPartyCausesNoTimeouts) {
   const std::size_t n = 4;
   const Round rounds = 6;
@@ -192,6 +255,41 @@ TEST(NetRunner, PlanCrashedPartyCausesNoTimeouts) {
   EXPECT_EQ(crashed.received_.at(rounds).size(), n);
   EXPECT_EQ(peer.received_.at(2).size(), n);
   EXPECT_EQ(peer.received_.at(3).size(), n - 1);
+}
+
+TEST(NetRunner, CrashedPartyWritesNothingFromItsCrashRound) {
+  // Fault decisions for rounds before the crash do not depend on the run's
+  // length, so a crashed party's links carry exactly what they carry when
+  // the run stops just before its crash round — including no frame a
+  // delay held from earlier rounds and made due at or after the crash.
+  const std::size_t n = 4;
+  const PartyId crashed = 2;
+  const Round crash_round = 5;
+  NetOptions options;
+  options.faults = FaultPlan::parse("delay=0.5,crash=2@5");
+  options.seed = 3;
+  const auto run_for = [&](Round rounds) {
+    auto runner = std::make_unique<NetRunner>(n, options);
+    for (PartyId p = 0; p < n; ++p) {
+      runner->set_process(p, std::make_unique<ChatterProcess>());
+    }
+    runner->run(rounds);
+    return runner;
+  };
+  const auto full = run_for(8);
+  const auto cut = run_for(crash_round - 1);
+  std::uint64_t suppressed = 0;
+  for (PartyId q = 0; q < n; ++q) {
+    if (q == crashed) continue;
+    const LinkStats a = full->link_stats(crashed, q);
+    const LinkStats b = cut->link_stats(crashed, q);
+    EXPECT_EQ(a.frames_sent, b.frames_sent) << "link to " << q;
+    EXPECT_EQ(a.bytes_sent, b.bytes_sent) << "link to " << q;
+    suppressed += a.suppressed;
+  }
+  // One frame per link per round from the crash round on, plus the held
+  // frames that were due after the crash.
+  EXPECT_GT(suppressed, (n - 1) * (8 - crash_round + 1));
 }
 
 TEST(NetRunner, UnplannedStallTripsTheDeadline) {

@@ -1,12 +1,14 @@
 // JSON emission: escaping, deterministic number formatting, the streaming
-// writer's comma placement, and the flat-object reader that round-trips
-// JSONL trace lines.
+// writer's comma placement, and writer output read back through JsonValue.
 #include "obs/json.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <string>
+
+#include "common/json_value.h"
 
 namespace treeaa::obs {
 namespace {
@@ -67,7 +69,9 @@ TEST(JsonWriter, RawFragmentsPlaceCommasLikeValues) {
   EXPECT_EQ(out, "{\"a\":[1,2],\"b\":\"x\"}");
 }
 
-TEST(ParseFlatJsonObject, RoundTripsWriterOutput) {
+// Reading goes through the one JSON reader: everything the writer emits
+// parses back as a JsonValue.
+TEST(JsonValueReadsWriter, RoundTripsWriterOutput) {
   std::string out;
   JsonWriter w(out);
   w.begin_object();
@@ -81,27 +85,45 @@ TEST(ParseFlatJsonObject, RoundTripsWriterOutput) {
   w.null();
   w.end_object();
 
-  const auto parsed = parse_flat_json_object(out);
+  const auto parsed = JsonValue::parse(out);
   ASSERT_TRUE(parsed.has_value());
-  ASSERT_EQ(parsed->size(), 4u);
-  EXPECT_EQ((*parsed)[0], (std::pair<std::string, std::string>{"ev", "send"}));
-  EXPECT_EQ((*parsed)[1].second, "3");
-  EXPECT_EQ((*parsed)[2].second, "false");
-  EXPECT_EQ((*parsed)[3].second, "null");
+  ASSERT_TRUE(parsed->is_flat_object());
+  const auto& members = parsed->members();
+  ASSERT_EQ(members.size(), 4u);
+  EXPECT_EQ(members[0].first, "ev");
+  EXPECT_EQ(members[0].second.as_string(), "send");
+  EXPECT_EQ(members[1].second.as_number(), 3.0);
+  EXPECT_FALSE(members[2].second.as_bool());
+  EXPECT_TRUE(members[3].second.is_null());
 }
 
-TEST(ParseFlatJsonObject, UnescapesStrings) {
-  const auto parsed = parse_flat_json_object("{\"k\":\"a\\\"b\\n\"}");
+TEST(JsonValueReadsWriter, EscapesRoundTrip) {
+  const std::string raw = "a\"b\n\\c\t\x01";
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object();
+  w.key("k");
+  w.value(raw);
+  w.end_object();
+  EXPECT_EQ(out, "{\"k\":\"a\\\"b\\n\\\\c\\t\\u0001\"}");
+  const auto parsed = JsonValue::parse(out);
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ((*parsed)[0].second, "a\"b\n");
+  EXPECT_EQ(parsed->find("k")->as_string(), raw);
 }
 
-TEST(ParseFlatJsonObject, RejectsNestingAndGarbage) {
-  EXPECT_FALSE(parse_flat_json_object("{\"k\":{}}").has_value());
-  EXPECT_FALSE(parse_flat_json_object("{\"k\":[1]}").has_value());
-  EXPECT_FALSE(parse_flat_json_object("not json").has_value());
-  EXPECT_FALSE(parse_flat_json_object("{\"k\":1,}").has_value());
-  EXPECT_FALSE(parse_flat_json_object("{\"k\":1} extra").has_value());
+TEST(JsonValueReadsWriter, FlatObjectCheckRejectsNestingAndGarbage) {
+  // Nested members parse but are not flat.
+  for (const char* nested : {"{\"k\":{}}", "{\"k\":[1]}"}) {
+    const auto parsed = JsonValue::parse(nested);
+    ASSERT_TRUE(parsed.has_value()) << nested;
+    EXPECT_FALSE(parsed->is_flat_object()) << nested;
+  }
+  EXPECT_FALSE(JsonValue::parse("[1]")->is_flat_object());
+  EXPECT_TRUE(JsonValue::parse("{}")->is_flat_object());
+  // Malformed documents do not parse at all.
+  EXPECT_FALSE(JsonValue::parse("not json").has_value());
+  EXPECT_FALSE(JsonValue::parse("{\"k\":1,}").has_value());
+  EXPECT_FALSE(JsonValue::parse("{\"k\":1} extra").has_value());
 }
 
 }  // namespace

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 
+#include "common/json_value.h"
 #include "core/api.h"
 #include "harness/runner.h"
 #include "obs/json.h"
@@ -204,11 +206,12 @@ TEST(JsonlTrace, EveryLineParsesAndCountsMatchTraffic) {
   std::uint64_t sends = 0;
   std::uint64_t byz = 0;
   for (const std::string& line : tracer.lines()) {
-    const auto parsed = parse_flat_json_object(line);
+    const auto parsed = JsonValue::parse(line);
     ASSERT_TRUE(parsed.has_value()) << line;
-    ASSERT_FALSE(parsed->empty());
-    EXPECT_EQ((*parsed)[0].first, "ev");
-    const std::string& ev = (*parsed)[0].second;
+    ASSERT_TRUE(parsed->is_flat_object()) << line;
+    ASSERT_FALSE(parsed->members().empty());
+    EXPECT_EQ(parsed->members()[0].first, "ev");
+    const std::string& ev = parsed->members()[0].second.as_string();
     if (ev == "send") ++sends;
     if (ev == "byz") ++byz;
   }
@@ -220,6 +223,50 @@ TEST(JsonlTrace, EveryLineParsesAndCountsMatchTraffic) {
   tracer.clear();
   EXPECT_TRUE(tracer.lines().empty());
   EXPECT_EQ(tracer.message_count(), 0u);
+}
+
+// Re-emits a flat JsonValue object through JsonWriter. Trace numbers are
+// all unsigned integers, so they print back exactly as the tracer wrote
+// them.
+std::string reemit_flat(const JsonValue& event) {
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object();
+  for (const auto& [key, member] : event.members()) {
+    w.key(key);
+    switch (member.kind()) {
+      case JsonValue::Kind::kString: w.value(member.as_string()); break;
+      case JsonValue::Kind::kNumber:
+        w.value(static_cast<std::uint64_t>(member.as_number()));
+        break;
+      case JsonValue::Kind::kBool: w.value(member.as_bool()); break;
+      default: w.null(); break;
+    }
+  }
+  w.end_object();
+  return out;
+}
+
+TEST(JsonlTrace, EveryLineRoundTripsThroughJsonValue) {
+  // Payload hex on, so send/byz lines carry their longest form.
+  const auto tree = make_spider(3, 4);
+  const auto inputs = harness::spread_vertex_inputs(tree, 5);
+  JsonlTracer tracer(/*payloads=*/true);
+  Hooks hooks;
+  hooks.tracer = &tracer;
+  auto adv = std::make_unique<sim::FuzzAdversary>(std::vector<PartyId>{4},
+                                                  /*seed=*/2, 3, 8);
+  const auto result =
+      core::run_tree_aa(tree, inputs, 1, {}, std::move(adv), &hooks);
+  EXPECT_GT(result.rounds, 0u);
+
+  ASSERT_FALSE(tracer.lines().empty());
+  for (const std::string& line : tracer.lines()) {
+    const auto parsed = JsonValue::parse(line);
+    ASSERT_TRUE(parsed.has_value()) << line;
+    ASSERT_TRUE(parsed->is_flat_object()) << line;
+    EXPECT_EQ(reemit_flat(*parsed), line);
+  }
 }
 
 }  // namespace

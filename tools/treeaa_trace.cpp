@@ -32,10 +32,9 @@
 #include <string>
 #include <vector>
 
+#include "common/json_value.h"
 #include "common_flags.h"
-#include "exp/json_value.h"
 #include "exp/ledger.h"
-#include "obs/json.h"
 #include "obs/sink.h"
 
 namespace {
@@ -73,18 +72,18 @@ std::string read_all(const std::string& path) {
 /// document ({"traceEvents": [...]}); exits on malformed JSON so CI's
 /// "the trace parses" check is this tool, not an external validator.
 exp::TraceStats span_stats(const std::string& text, exp::TraceStats stats) {
-  const auto doc = exp::JsonValue::parse(text);
+  const auto doc = JsonValue::parse(text);
   if (!doc.has_value() || !doc->is_object()) {
     usage("--spans file is not a JSON object");
   }
-  const exp::JsonValue* events = doc->find("traceEvents");
+  const JsonValue* events = doc->find("traceEvents");
   if (events == nullptr || !events->is_array()) {
     usage("--spans file has no traceEvents array");
   }
   std::uint64_t spans = 0;
   std::uint64_t flows = 0;
-  for (const exp::JsonValue& e : events->items()) {
-    const exp::JsonValue* ph = e.find("ph");
+  for (const JsonValue& e : events->items()) {
+    const JsonValue* ph = e.find("ph");
     if (ph == nullptr || !ph->is_string()) continue;
     const std::string& kind = ph->as_string();
     if (kind == "X" || kind == "i") {
@@ -92,13 +91,13 @@ exp::TraceStats span_stats(const std::string& text, exp::TraceStats stats) {
     } else if (kind == "s" || kind == "f") {
       ++flows;
     } else if (kind == "M") {
-      const exp::JsonValue* name = e.find("name");
+      const JsonValue* name = e.find("name");
       if (name == nullptr || !name->is_string() ||
           name->as_string() != "process_name") {
         continue;
       }
-      const exp::JsonValue* args = e.find("args");
-      const exp::JsonValue* process =
+      const JsonValue* args = e.find("args");
+      const JsonValue* process =
           args == nullptr ? nullptr : args->find("name");
       if (process != nullptr && process->is_string()) {
         stats.tracks.push_back(process->as_string());
@@ -111,7 +110,7 @@ exp::TraceStats span_stats(const std::string& text, exp::TraceStats stats) {
 }
 
 /// Counts transcript lines and send/byz events of a "treeaa.trace/1" JSONL
-/// transcript; every line must round-trip through the flat-object parser.
+/// transcript; every line must parse as a flat JSON object.
 exp::TraceStats transcript_stats(const std::string& text,
                                  exp::TraceStats stats) {
   std::uint64_t events = 0;
@@ -120,14 +119,16 @@ exp::TraceStats transcript_stats(const std::string& text,
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    const auto fields = obs::parse_flat_json_object(line);
-    if (!fields.has_value()) {
+    const auto event = JsonValue::parse(line);
+    if (!event.has_value() || !event->is_flat_object()) {
       usage("--transcript line " + std::to_string(events + 1) +
             " is not a flat JSON object");
     }
     ++events;
-    for (const auto& [key, value] : *fields) {
-      if (key == "ev" && (value == "send" || value == "byz")) ++messages;
+    const JsonValue* ev = event->find("ev");
+    if (ev != nullptr && ev->is_string() &&
+        (ev->as_string() == "send" || ev->as_string() == "byz")) {
+      ++messages;
     }
   }
   stats.transcript_events = events;
@@ -174,7 +175,7 @@ int main(int argc, char** argv) {
   if (out_path.empty()) out_path.push_back('-');
 
   try {
-    const auto doc = exp::JsonValue::parse(read_all(report_path));
+    const auto doc = JsonValue::parse(read_all(report_path));
     if (!doc.has_value()) usage("--report file is not valid JSON");
     const auto input = exp::ledger_input_from_json(*doc, eps_override);
     if (!input.has_value()) {
