@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -133,6 +134,35 @@ TEST(BroadcastInterning, CorruptionDetachesInsteadOfAliasing) {
   for (const std::size_t i : {0u, 1u, 3u}) {
     EXPECT_EQ(sink[i].payload, (Bytes{10, 20}))
         << "recipient " << i << " saw the corruption through sharing";
+  }
+}
+
+// The Mailer appends to its sink in exact call order, after whatever the
+// sink already holds (a lane's staging vector collects every party of its
+// chunk in turn), with or without a payload pool.
+TEST(Mailer, AppendsToItsSinkInCallOrder) {
+  PayloadPool pool;
+  for (PayloadPool* maybe_pool : {&pool, static_cast<PayloadPool*>(nullptr)}) {
+    std::vector<sim::Envelope> sink;
+    sim::Mailer first(0, 3, sink, 5, maybe_pool);
+    first.send(2, Bytes{7});
+    sim::Mailer second(1, 3, sink, 5, maybe_pool);
+    second.broadcast(Bytes{8, 9});
+    second.send(0, Bytes{});
+
+    ASSERT_EQ(sink.size(), 5u);
+    const std::vector<std::pair<PartyId, PartyId>> expected = {
+        {0, 2}, {1, 0}, {1, 1}, {1, 2}, {1, 0}};
+    for (std::size_t i = 0; i < sink.size(); ++i) {
+      EXPECT_EQ(std::make_pair(sink[i].from, sink[i].to), expected[i])
+          << "envelope " << i;
+      EXPECT_EQ(sink[i].round, 5u);
+    }
+    EXPECT_EQ(sink[0].payload, (Bytes{7}));
+    EXPECT_EQ(sink[3].payload, (Bytes{8, 9}));
+    EXPECT_TRUE(sink[4].payload.empty());
+    EXPECT_THROW(first.send(3, Bytes{1}), std::invalid_argument);
+    EXPECT_EQ(sink.size(), 5u) << "a rejected send must not append";
   }
 }
 
