@@ -20,21 +20,28 @@
 //     messages/second as a "treeaa.perf_report/1" JSON document (--out,
 //     falling back to TREEAA_METRICS, "-" = stdout); each scenario
 //     records its engine lane count (`threads`), the host's logical CPU
-//     count (`host_cpus`) and the effective worker count (`workers`).
+//     count (`host_cpus`) and the effective worker count (`workers`),
+//     and the heap allocations its measured reps made (`heap_allocs`,
+//     counted by this binary's global operator new).
 //     --threads sets the lane count of the base scenarios (default 1, the
 //     serial baseline); the *_t8 scenarios always pin 8 lanes, and
 //     message counts never depend on the lane count. With
 //     --check-against the measured throughput is gated against a
 //     checked-in baseline (bench/perf_baseline.json): any scenario more
 //     than --max-regression percent (default 25) below its baseline fails
-//     the run with exit code 1. docs/PERF.md describes the schema and how
-//     to refresh the baseline.
+//     the run with exit code 1, and so does any scenario running on one
+//     worker (`workers` = 1, where the count is deterministic) that makes
+//     more heap allocations per rep than its baseline, with no tolerance.
+//     docs/PERF.md describes the schema and how to refresh the baseline.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <new>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -55,6 +62,26 @@
 #include "perf/parallel.h"
 #include "sim/engine.h"
 #include "trees/generators.h"
+
+namespace {
+
+/// Every operator new in this binary, so each pinned scenario can report
+/// the exact number of heap allocations its reps made.
+std::atomic<std::uint64_t> g_heap_allocs{0};
+
+}  // namespace
+
+// Not inlined: inlined into one caller, GCC sees malloc() pointers reach
+// operator delete and warns about mismatched allocation functions.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -158,6 +185,7 @@ struct PinnedResult {
   std::size_t workers = 1;      // effective WorkerPool workers for `threads`
   std::uint64_t messages = 0;   // total over all reps
   std::uint64_t wall_ns = 0;    // total over all reps
+  std::uint64_t heap_allocs = 0;  // operator new calls, total over all reps
   double messages_per_sec = 0.0;
 };
 
@@ -183,9 +211,11 @@ PinnedResult run_pinned_scenario(const std::string& name, std::size_t reps,
   // use for this lane count (respects TREEAA_FORCE_WORKERS).
   result.host_cpus = std::thread::hardware_concurrency();
   result.workers = perf::WorkerPool::default_workers(threads);
+  const std::uint64_t allocs_before = g_heap_allocs.load();
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < scaled; ++i) result.messages += run();
   const auto end = std::chrono::steady_clock::now();
+  result.heap_allocs = g_heap_allocs.load() - allocs_before;
   result.wall_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
           .count());
@@ -371,6 +401,8 @@ std::string perf_report_json(const std::vector<PinnedResult>& results) {
     w.value(r.messages);
     w.key("wall_ns");
     w.value(r.wall_ns);
+    w.key("heap_allocs");
+    w.value(r.heap_allocs);
     w.key("messages_per_sec");
     w.value(r.messages_per_sec);
     w.end_object();
@@ -382,9 +414,12 @@ std::string perf_report_json(const std::vector<PinnedResult>& results) {
 }
 
 /// Gates `results` against a perf_report/1 baseline document. Returns the
-/// number of scenarios regressing more than `max_regression_pct`; unknown
-/// or missing scenarios are reported but never fail the gate (so adding a
-/// scenario does not require a lockstep baseline update).
+/// number of scenarios regressing: throughput more than
+/// `max_regression_pct` below the baseline, or — on one worker, where the
+/// count is deterministic — more heap allocations per rep than the
+/// baseline's, with no tolerance. Unknown or missing scenarios and fields
+/// are reported but never fail the gate (so adding a scenario does not
+/// require a lockstep baseline update).
 int check_against_baseline(const std::vector<PinnedResult>& results,
                            const std::string& baseline_path,
                            double max_regression_pct, std::ostream& human) {
@@ -409,12 +444,31 @@ int check_against_baseline(const std::vector<PinnedResult>& results,
   int regressions = 0;
   for (const PinnedResult& r : results) {
     double baseline = 0.0;
+    const JsonValue* base_allocs = nullptr;
+    const JsonValue* base_reps = nullptr;
     for (const JsonValue& s : scenarios->items()) {
       const JsonValue* name = s.find("name");
       const JsonValue* rate = s.find("messages_per_sec");
       if (name != nullptr && name->is_string() && name->as_string() == r.name &&
           rate != nullptr && rate->is_number()) {
         baseline = rate->as_number();
+        base_allocs = s.find("heap_allocs");
+        base_reps = s.find("reps");
+      }
+    }
+    if (r.workers == 1 && base_allocs != nullptr && base_allocs->is_number() &&
+        base_reps != nullptr && base_reps->is_number() &&
+        base_reps->as_number() > 0) {
+      // Per rep, exactly: allocs / reps > base_allocs / base_reps.
+      const auto allowed = static_cast<std::uint64_t>(base_allocs->as_number());
+      const auto reps = static_cast<std::uint64_t>(base_reps->as_number());
+      human << "perf gate: " << r.name << " " << r.heap_allocs
+            << " heap allocs in " << r.reps << " reps vs baseline " << allowed
+            << " in " << reps << "\n";
+      if (r.heap_allocs * reps > allowed * r.reps) {
+        std::cerr << "perf gate: FAIL " << r.name
+                  << " makes more heap allocations per rep than its baseline\n";
+        ++regressions;
       }
     }
     if (baseline <= 0.0) {

@@ -23,6 +23,8 @@ IteratedRealAAProcess::IteratedRealAAProcess(const IteratedRealConfig& config,
       value_(input) {
   TREEAA_REQUIRE(config.n > 3 * config.t);
   TREEAA_REQUIRE(self < config.n);
+  history_.reserve(iterations_ + 1);
+  w_.reserve(config.n);
   history_.push_back(value_);
   if (iterations_ == 0) output_ = value_;
 }
@@ -31,8 +33,12 @@ void IteratedRealAAProcess::on_round_begin(Round, sim::Mailer& out) {
   if (output_.has_value()) return;
   const std::size_t step = local_round_ % gradecast::kRounds;
   if (step == 0) {
-    batch_.emplace(self_, config_.n, config_.t,
-                   realaa::encode_value(value_));
+    const realaa::ValueBytes wire = realaa::encode_value_array(value_);
+    if (batch_.has_value()) {
+      batch_->restart(wire, {});
+    } else {
+      batch_.emplace(self_, config_.n, config_.t, wire);
+    }
   }
   batch_->on_step_begin(step, out);
 }
@@ -47,19 +53,25 @@ void IteratedRealAAProcess::on_round_end(Round,
 }
 
 void IteratedRealAAProcess::finish_iteration() {
-  std::vector<double> w;
-  w.reserve(config_.n);
+  w_.clear();
   for (const gradecast::GradedValue& gv : batch_->results()) {
     if (gv.grade < 1) continue;
     const auto value = realaa::decode_value(*gv.value);
-    if (value.has_value()) w.push_back(*value);
+    if (value.has_value()) w_.push_back(*value);
   }
-  TREEAA_CHECK(w.size() > 2 * config_.t);
-  value_ = realaa::trimmed_update(std::move(w), config_.t,
-                                  realaa::UpdateRule::kTrimmedMidpoint);
+  // |W| >= n - t > 2t on perfect channels; a starved iteration (only a
+  // lossy network beyond the fault budget) keeps the value, as in RealAA.
+  if (w_.size() > 2 * config_.t) {
+    value_ = realaa::trimmed_update(std::span<double>(w_), config_.t,
+                                    realaa::UpdateRule::kTrimmedMidpoint);
+  } else {
+    ++starved_;
+  }
   history_.push_back(value_);
-  if (history_.size() == iterations_ + 1) output_ = value_;
-  batch_.reset();
+  if (history_.size() == iterations_ + 1) {
+    output_ = value_;
+    batch_.reset();
+  }
 }
 
 }  // namespace treeaa::baselines

@@ -55,6 +55,11 @@ class IteratedRealAAProcess final : public realaa::RealAgreement {
     return history_;
   }
   [[nodiscard]] const IteratedRealConfig& config() const { return config_; }
+  /// Iterations that ended with |W| <= 2t, where the party kept its value
+  /// (see sim::Process::starved_iterations).
+  [[nodiscard]] std::size_t starved_iterations() const override {
+    return starved_;
+  }
 
  private:
   void finish_iteration();
@@ -65,7 +70,10 @@ class IteratedRealAAProcess final : public realaa::RealAgreement {
   double value_;
   std::vector<double> history_;
   std::size_t local_round_ = 0;
+  std::size_t starved_ = 0;
+  // One batch for the whole run, restarted every iteration.
   std::optional<gradecast::BatchGradecast> batch_;
+  std::vector<double> w_;  // the iteration's grade >= 1 values (scratch)
   std::optional<double> output_;
 };
 

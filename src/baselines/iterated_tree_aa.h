@@ -68,11 +68,16 @@ class IteratedTreeAAProcess final : public sim::Process {
   VertexId value_;
   std::vector<VertexId> history_;
   std::size_t local_round_ = 0;
+  // One batch for the whole run, restarted every iteration.
   std::optional<gradecast::BatchGradecast> batch_;
+  Bytes wire_value_;          // the encoded vertex this iteration leads with
+  std::vector<VertexId> m_;   // the iteration's grade >= 1 vertices
   std::optional<VertexId> output_;
 };
 
-/// Vertex codec shared with adversarial tests: varint vertex id.
+/// Vertex codec shared with adversarial tests: varint vertex id, written
+/// into `out` (replacing its contents, keeping its capacity).
+void encode_vertex_into(Bytes& out, VertexId v);
 [[nodiscard]] Bytes encode_vertex(VertexId v);
 /// nullopt if malformed or >= n_vertices.
 [[nodiscard]] std::optional<VertexId> decode_vertex(const Bytes& b,

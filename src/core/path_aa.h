@@ -54,6 +54,10 @@ class PathAAProcess final : public sim::Process {
   /// The output vertex; engaged once rounds() rounds have completed.
   [[nodiscard]] std::optional<VertexId> output() const { return output_; }
 
+  [[nodiscard]] std::size_t starved_iterations() const override {
+    return real_->starved_iterations();
+  }
+
  private:
   const LabeledTree& tree_;
   std::vector<VertexId> order_;  // canonical v_1 .. v_k

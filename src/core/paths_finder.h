@@ -98,6 +98,9 @@ class PathsFinderProcess final : public sim::Process {
   [[nodiscard]] std::size_t detected_faulty() const {
     return real_->detected_faulty();
   }
+  [[nodiscard]] std::size_t starved_iterations() const override {
+    return real_->starved_iterations();
+  }
 
  private:
   const LabeledTree& tree_;

@@ -139,6 +139,11 @@ std::size_t TreeAAProcess::current_detected_faulty() const {
                                : finder_.detected_faulty();
 }
 
+std::size_t TreeAAProcess::starved_iterations() const {
+  return finder_.starved_iterations() +
+         (projector_ != nullptr ? projector_->starved_iterations() : 0);
+}
+
 TreeAAProcess::Telemetry TreeAAProcess::telemetry() const {
   Telemetry t;
   t.phase1_rounds = rounds_phase1_;

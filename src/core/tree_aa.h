@@ -108,6 +108,8 @@ class TreeAAProcess final : public sim::Process {
   [[nodiscard]] VertexId current_estimate() const;
   /// Byzantine parties proven so far by whichever inner engine is active.
   [[nodiscard]] std::size_t current_detected_faulty() const;
+  /// Starved iterations of both phases' engines so far.
+  [[nodiscard]] std::size_t starved_iterations() const override;
 
  private:
   void start_phase2();

@@ -20,18 +20,48 @@ bool view_eq(ByteView a, ByteView b) {
 }  // namespace
 
 BatchGradecast::BatchGradecast(PartyId self, std::size_t n, std::size_t t,
-                               Bytes my_value, std::vector<bool> deny)
-    : self_(self),
-      n_(n),
-      t_(t),
-      my_value_(std::move(my_value)),
-      deny_(std::move(deny)) {
+                               ByteView my_value,
+                               const std::vector<bool>& deny)
+    : self_(self), n_(n), t_(t) {
   TREEAA_REQUIRE(self < n);
   TREEAA_REQUIRE_MSG(n > 3 * t, "gradecast requires t < n/3");
-  if (deny_.empty()) deny_.assign(n, false);
-  TREEAA_REQUIRE(deny_.size() == n);
-  leader_values_.assign(n, std::nullopt);
-  my_supports_.assign(n, std::nullopt);
+  results_.resize(n);
+  slot_views_.resize(n);
+  runs_.reserve(n);
+  // Sized for n values as long as ours, the usual case: the stores then
+  // fill without growing, and an echo is the largest message.
+  leader_values_.reserve(n * my_value.size());
+  my_supports_.reserve(n * my_value.size());
+  wire_.reserve(1 + 10 + n * (2 + 10 + my_value.size()));
+  restart(my_value, deny);
+}
+
+void BatchGradecast::SlotStore::reset(std::size_t n) {
+  bytes_.clear();
+  slots_.assign(n, {kAbsent, 0});
+}
+
+void BatchGradecast::SlotStore::set(PartyId l, ByteView value) {
+  slots_[l] = {bytes_.size(), value.size()};
+  bytes_.insert(bytes_.end(), value.begin(), value.end());
+}
+
+SlotView BatchGradecast::SlotStore::get(PartyId l) const {
+  const auto [offset, size] = slots_[l];
+  if (offset == kAbsent) return std::nullopt;
+  return ByteView(bytes_.data() + offset, size);
+}
+
+void BatchGradecast::restart(ByteView my_value,
+                             const std::vector<bool>& deny) {
+  if (deny.empty()) {
+    deny_.assign(n_, false);
+  } else {
+    TREEAA_REQUIRE(deny.size() == n_);
+    deny_ = deny;
+  }
+  my_value_.assign(my_value.begin(), my_value.end());
+  next_step_ = 0;
 }
 
 void BatchGradecast::decode_slot_round(std::uint8_t tag,
@@ -48,34 +78,42 @@ void BatchGradecast::decode_slot_round(std::uint8_t tag,
 
 void BatchGradecast::gather_sorted_slots(PartyId l) {
   runs_.clear();
+  bool all_equal = true;
   for (PartyId q = 0; q < n_; ++q) {
     if (!sender_valid_[q]) continue;
     const SlotView& slot = slot_matrix_[static_cast<std::size_t>(q) * n_ + l];
-    if (slot.has_value()) runs_.push_back(*slot);
+    if (!slot.has_value()) continue;
+    if (all_equal && !runs_.empty()) all_equal = view_eq(runs_.front(), *slot);
+    runs_.push_back(*slot);
   }
   // Lexicographic ascending — run-length counting over this order visits
   // values exactly as the previous std::map<Bytes, count> iteration did.
-  std::sort(runs_.begin(), runs_.end(), view_less);
+  if (!all_equal) std::sort(runs_.begin(), runs_.end(), view_less);
+}
+
+void BatchGradecast::broadcast_slots(std::uint8_t tag, const SlotStore& slots,
+                                     bool apply_deny, sim::Mailer& out) {
+  for (PartyId l = 0; l < n_; ++l) {
+    slot_views_[l] = apply_deny && deny_[l] ? std::nullopt : slots.get(l);
+  }
+  encode_slots_into(wire_, tag, slot_views_);
+  out.broadcast(wire_);
 }
 
 void BatchGradecast::on_step_begin(std::size_t step, sim::Mailer& out) {
   TREEAA_REQUIRE_MSG(step == next_step_, "gradecast steps must run in order");
   switch (step) {
     case 0:
-      out.broadcast(encode_leader(my_value_));
+      encode_leader_into(wire_, my_value_);
+      out.broadcast(wire_);
       break;
-    case 1: {
+    case 1:
       // Echo, per leader, the value received from that leader (⊥ slots for
       // leaders we heard nothing valid from or that we deny).
-      std::vector<Slot> slots = leader_values_;
-      for (PartyId l = 0; l < n_; ++l) {
-        if (deny_[l]) slots[l] = std::nullopt;
-      }
-      out.broadcast(encode_slots(kTagEcho, slots));
+      broadcast_slots(kTagEcho, leader_values_, /*apply_deny=*/true, out);
       break;
-    }
     case 2:
-      out.broadcast(encode_slots(kTagSupport, my_supports_));
+      broadcast_slots(kTagSupport, my_supports_, /*apply_deny=*/false, out);
       break;
     default:
       TREEAA_REQUIRE_MSG(false, "gradecast has exactly 3 steps");
@@ -90,12 +128,13 @@ void BatchGradecast::on_step_end(std::size_t step,
       // Per sender, keep the first message that decodes as a LEADER value;
       // malformed attempts do not shadow a later valid one.
       sender_valid_.assign(n_, false);
+      leader_values_.reset(n_);
       for (const sim::Envelope& e : inbox) {
         if (e.from >= n_ || sender_valid_[e.from]) continue;
         const auto value = decode_leader_view(e.payload);
         if (value.has_value()) {
           sender_valid_[e.from] = true;
-          leader_values_[e.from] = Bytes(value->begin(), value->end());
+          leader_values_.set(e.from, *value);
         }
       }
       break;
@@ -106,6 +145,7 @@ void BatchGradecast::on_step_end(std::size_t step,
       // least n - t parties. Uniqueness: two distinct values with >= n - t
       // echoes each would need 2(n - t) <= n echoers, i.e. n <= 2t,
       // contradicting t < n/3.
+      my_supports_.reset(n_);
       for (PartyId l = 0; l < n_; ++l) {
         if (deny_[l]) continue;  // never support a denied leader
         gather_sorted_slots(l);
@@ -113,7 +153,7 @@ void BatchGradecast::on_step_end(std::size_t step,
           std::size_t j = i + 1;
           while (j < runs_.size() && view_eq(runs_[i], runs_[j])) ++j;
           if (j - i >= n_ - t_) {
-            my_supports_[l] = Bytes(runs_[i].begin(), runs_[i].end());
+            my_supports_.set(l, runs_[i]);
             break;
           }
           i = j;
@@ -123,7 +163,6 @@ void BatchGradecast::on_step_end(std::size_t step,
     }
     case 2: {
       decode_slot_round(kTagSupport, inbox);
-      results_.assign(n_, GradedValue{});
       for (PartyId l = 0; l < n_; ++l) {
         gather_sorted_slots(l);
         // The value with the most supporters; all honest supporters agree on
@@ -145,11 +184,19 @@ void BatchGradecast::on_step_end(std::size_t step,
         }
         GradedValue& r = results_[l];
         if (have_best && best_count >= n_ - t_) {
-          r.value = Bytes(best.begin(), best.end());
           r.grade = 2;
         } else if (have_best && best_count >= t_ + 1) {
-          r.value = Bytes(best.begin(), best.end());
           r.grade = 1;
+        } else {
+          r.grade = 0;
+          r.value.reset();
+          continue;
+        }
+        // Overwrite an engaged value in place, keeping its capacity.
+        if (r.value.has_value()) {
+          r.value->assign(best.begin(), best.end());
+        } else {
+          r.value.emplace(best.begin(), best.end());
         }
       }
       break;

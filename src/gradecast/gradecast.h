@@ -22,11 +22,14 @@
 // which is what one RealAA iteration consumes.
 //
 // BatchGradecast is not a sim::Process itself; protocols embed it and
-// forward their rounds, offset into the 3-step schedule.
+// forward their rounds, offset into the 3-step schedule. An iterated
+// protocol keeps one batch for its whole run and restart()s it at every
+// iteration, so steady-state iterations allocate nothing.
 #pragma once
 
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -55,8 +58,17 @@ class BatchGradecast {
   /// parties deny a leader, that leader can never again reach n - t echoes,
   /// so its gradecasts end at grade 0 for everyone — the "ignored in all
   /// future iterations" mechanism of the paper's §4.
-  BatchGradecast(PartyId self, std::size_t n, std::size_t t, Bytes my_value,
-                 std::vector<bool> deny = {});
+  BatchGradecast(PartyId self, std::size_t n, std::size_t t, ByteView my_value,
+                 const std::vector<bool>& deny = {});
+
+  /// Starts a new batch on this object, leading with `my_value` and
+  /// denying `deny` (same meaning as in the constructor). The batch that
+  /// follows sends exactly the bytes, and yields exactly the results, of a
+  /// newly constructed one. Per-leader values, supports and results, and
+  /// the encode/decode scratch, keep their capacity, so an iterated
+  /// protocol that keeps one batch for life allocates nothing in steady
+  /// state once its buffers have grown to the message sizes.
+  void restart(ByteView my_value, const std::vector<bool>& deny);
 
   /// Drives sub-round `step` ∈ {0, 1, 2}; steps must be driven in order.
   void on_step_begin(std::size_t step, sim::Mailer& out);
@@ -64,7 +76,9 @@ class BatchGradecast {
 
   [[nodiscard]] bool finished() const { return next_step_ == kRounds; }
 
-  /// Per-leader outputs; valid once finished().
+  /// Per-leader outputs; readable once finished(). The reference and its
+  /// contents stay valid until the next restart(), which overwrites them in
+  /// place — copy what must outlive the batch.
   [[nodiscard]] const std::vector<GradedValue>& results() const;
 
  private:
@@ -76,8 +90,31 @@ class BatchGradecast {
                          std::span<const sim::Envelope> inbox);
 
   /// The slots sent for leader `l` by every sender whose message decoded,
-  /// sorted lexicographically into `runs_` for run-length counting.
+  /// sorted lexicographically into `runs_` for run-length counting. The
+  /// sort is skipped when every slot equals the first (an honest leader's
+  /// instance), which leaves the same order.
   void gather_sorted_slots(PartyId l);
+
+  /// Per-leader slots (⊥ or a value) packed into one buffer, so n values
+  /// cost one buffer whose capacity a restarted batch reuses. Each slot is
+  /// set at most once between resets; views stay valid until the next set.
+  class SlotStore {
+   public:
+    void reserve(std::size_t bytes) { bytes_.reserve(bytes); }
+    void reset(std::size_t n);
+    void set(PartyId l, ByteView value);
+    [[nodiscard]] SlotView get(PartyId l) const;
+
+   private:
+    static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+    Bytes bytes_;
+    std::vector<std::pair<std::size_t, std::size_t>> slots_;  // offset, size
+  };
+
+  /// Broadcasts `slots` (one per leader, ⊥ for denied leaders when
+  /// `apply_deny`) under `tag`, encoded into `wire_`.
+  void broadcast_slots(std::uint8_t tag, const SlotStore& slots,
+                       bool apply_deny, sim::Mailer& out);
 
   PartyId self_;
   std::size_t n_;
@@ -87,13 +124,17 @@ class BatchGradecast {
   std::size_t next_step_ = 0;
 
   // State accumulated across steps.
-  std::vector<std::optional<Bytes>> leader_values_;   // per leader (step 0)
-  std::vector<std::optional<Bytes>> my_supports_;     // per leader (step 1)
-  std::vector<GradedValue> results_;                  // per leader (step 2)
+  SlotStore leader_values_;  // per leader (step 0)
+  SlotStore my_supports_;    // per leader (step 1)
+  // Per leader (step 2). A result that is ⊥ in one batch and engaged in a
+  // later one re-allocates; an engaged one is overwritten in place.
+  std::vector<GradedValue> results_;
 
-  // Per-step decode scratch. The views alias inbox payloads and are only
-  // used inside the on_step_end call that produced them; keeping the
-  // buffers as members avoids re-allocating the n x n matrix every step.
+  // Per-step scratch, kept as members so steady-state steps allocate
+  // nothing. The decode views alias inbox payloads and are only used
+  // inside the on_step_end call that produced them.
+  Bytes wire_;                          // the message this step broadcasts
+  std::vector<SlotView> slot_views_;    // per-leader views being encoded
   std::vector<SlotView> slot_matrix_;   // sender q's slot for leader l at
                                         // [q * n + l]
   std::vector<bool> sender_valid_;      // sender q's message decoded

@@ -7,11 +7,18 @@ namespace treeaa::gradecast {
 
 namespace simd = perf::simd;
 
-Bytes encode_leader(const Bytes& value) {
-  ByteWriter w;
-  w.u8(kTagLeader);
-  w.blob(value);
-  return std::move(w).take();
+void encode_leader_into(Bytes& out, ByteView value) {
+  out.resize(1 + simd::varint_len(value.size()) + value.size());
+  std::uint8_t* p = out.data();
+  *p++ = kTagLeader;
+  p = simd::write_varint(p, value.size());
+  simd::copy_bytes(p, value.data(), value.size());
+}
+
+Bytes encode_leader(ByteView value) {
+  Bytes out;
+  encode_leader_into(out, value);
+  return out;
 }
 
 std::optional<Bytes> decode_leader(ByteView msg) {
@@ -32,23 +39,27 @@ std::optional<ByteView> decode_leader_view(ByteView msg) {
   }
 }
 
+namespace {
+
 // Batched encoder: the slot-vector layout — tag, varint count, then per
 // slot a presence byte followed by (varint length, bytes) — is sized
-// exactly up front, so the whole message is one allocation filled by a
-// pointer-bump cursor with SIMD bulk copies for the slot bodies. Byte
-// output is identical to the old incremental ByteWriter encoder (pinned by
-// the codec goldens).
-Bytes encode_slots(std::uint8_t tag, const std::vector<Slot>& slots) {
+// exactly up front, so the message is written by a pointer-bump cursor
+// with SIMD bulk copies for the slot bodies into the caller's buffer, which
+// allocates only when it must grow. Byte output is identical to the old
+// incremental ByteWriter encoder (pinned by the codec goldens). `slots`
+// holds owned (Slot) or viewed (SlotView) slots; both encode alike.
+template <typename Slots>
+void write_slots(Bytes& out, std::uint8_t tag, const Slots& slots) {
   std::size_t total = 1 + simd::varint_len(slots.size());
-  for (const Slot& s : slots) {
+  for (const auto& s : slots) {
     total += 1;
     if (s.has_value()) total += simd::varint_len(s->size()) + s->size();
   }
-  Bytes out(total);
+  out.resize(total);
   std::uint8_t* p = out.data();
   *p++ = tag;
   p = simd::write_varint(p, slots.size());
-  for (const Slot& s : slots) {
+  for (const auto& s : slots) {
     if (s.has_value()) {
       *p++ = 1;
       p = simd::write_varint(p, s->size());
@@ -59,6 +70,18 @@ Bytes encode_slots(std::uint8_t tag, const std::vector<Slot>& slots) {
     }
   }
   TREEAA_CHECK(p == out.data() + total);
+}
+
+}  // namespace
+
+void encode_slots_into(Bytes& out, std::uint8_t tag,
+                       std::span<const SlotView> slots) {
+  write_slots(out, tag, slots);
+}
+
+Bytes encode_slots(std::uint8_t tag, const std::vector<Slot>& slots) {
+  Bytes out;
+  write_slots(out, tag, slots);
   return out;
 }
 

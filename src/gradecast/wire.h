@@ -41,7 +41,13 @@ using Slot = std::optional<Bytes>;
 /// A per-leader slot decoded as a view (no copy).
 using SlotView = std::optional<ByteView>;
 
-[[nodiscard]] Bytes encode_leader(const Bytes& value);
+/// Writes a LEADER message for `value` into `out`, replacing its contents.
+/// `out` keeps its capacity, so a caller that reuses one buffer encodes
+/// without allocating once it has grown to the message size.
+void encode_leader_into(Bytes& out, ByteView value);
+
+/// encode_leader_into a fresh buffer.
+[[nodiscard]] Bytes encode_leader(ByteView value);
 
 /// Decodes a LEADER message; nullopt if malformed.
 [[nodiscard]] std::optional<Bytes> decode_leader(ByteView msg);
@@ -49,6 +55,13 @@ using SlotView = std::optional<ByteView>;
 /// Zero-copy variant of decode_leader: the returned view aliases `msg`.
 [[nodiscard]] std::optional<ByteView> decode_leader_view(ByteView msg);
 
+/// Writes an ECHO/SUPPORT message (`tag`, then one slot per leader) into
+/// `out`, replacing its contents and keeping its capacity. encode_slots
+/// runs the same encoder over owned slots.
+void encode_slots_into(Bytes& out, std::uint8_t tag,
+                       std::span<const SlotView> slots);
+
+/// encode_slots_into a fresh buffer, from owned slots.
 [[nodiscard]] Bytes encode_slots(std::uint8_t tag,
                                  const std::vector<Slot>& slots);
 

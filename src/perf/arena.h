@@ -179,9 +179,15 @@ class PayloadPool {
 
   [[nodiscard]] std::size_t pooled() const { return free_.size(); }
 
+  /// Control blocks this pool took from the heap because none was free.
+  [[nodiscard]] std::uint64_t misses() const { return misses_; }
+
  private:
   [[nodiscard]] PayloadRep* take_rep() {
-    if (free_.empty()) return new PayloadRep;
+    if (free_.empty()) {
+      ++misses_;
+      return new PayloadRep;
+    }
     PayloadRep* rep = free_.back();
     free_.pop_back();
     rep->refs.store(1, std::memory_order_relaxed);
@@ -190,6 +196,7 @@ class PayloadPool {
   }
 
   std::vector<PayloadRep*> free_;
+  std::uint64_t misses_ = 0;
 };
 
 inline void Payload::release(PayloadPool* pool) {

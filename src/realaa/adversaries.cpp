@@ -52,7 +52,7 @@ void SplitAdversary::plan_iteration(sim::RoundView& view) {
   // Rushing: read the honest parties' leader broadcasts for this iteration.
   for (const sim::Envelope& e : view.queued()) {
     if (view.is_corrupt(e.from) || observed_.contains(e.from)) continue;
-    const auto leader = gradecast::decode_leader(e.payload);
+    const auto leader = gradecast::decode_leader_view(e.payload);
     if (!leader.has_value()) continue;
     const auto value = decode_value(*leader);
     if (value.has_value()) observed_.emplace(e.from, *value);
@@ -123,57 +123,71 @@ void SplitAdversary::send_leader_phase(sim::RoundView& view) {
     if (!view.is_corrupt(p)) receivers.push_back(p);
   }
 
-  std::vector<bool> equivocating(n, false);
   for (const EquivocationPlan& plan : plans_) {
-    equivocating[plan.leader] = true;
-    const Bytes msg = gradecast::encode_leader(encode_value(plan.value));
-    for (const PartyId rcv : receivers) view.send(plan.leader, rcv, msg);
+    gradecast::encode_leader_into(msg_, encode_value_array(plan.value));
+    for (const PartyId rcv : receivers) {
+      view.send(plan.leader, rcv, std::span<const std::uint8_t>(msg_));
+    }
   }
   // Cover parties broadcast a consistent mid value; burnt equivocators stay
   // silent (every honest party denies them anyway).
-  std::vector<bool> burnt(n, false);
-  for (const PartyId p : dead_) burnt[p] = true;
+  gradecast::encode_leader_into(msg_, encode_value_array(cover_value_));
   for (const PartyId c : view.corrupt()) {
-    if (equivocating[c] || burnt[c]) continue;
-    view.broadcast(c, gradecast::encode_leader(encode_value(cover_value_)));
+    if (equivocating(c) || burnt(c)) continue;
+    view.broadcast(c, msg_);
   }
+}
+
+bool SplitAdversary::equivocating(PartyId p) const {
+  return std::any_of(plans_.begin(), plans_.end(),
+                     [p](const EquivocationPlan& plan) {
+                       return plan.leader == p;
+                     });
+}
+
+bool SplitAdversary::burnt(PartyId p) const {
+  return std::find(dead_.begin(), dead_.end(), p) != dead_.end();
 }
 
 void SplitAdversary::send_slot_phase(sim::RoundView& view,
                                      bool support_phase) {
   const std::size_t n = view.n();
-  std::vector<bool> burnt(n, false);
-  for (const PartyId p : dead_) burnt[p] = true;
-
   // Base slots, identical toward every recipient: truthful for honest
   // leaders, the cover value for live cover parties, ⊥ for burnt leaders
   // and for this iteration's equivocators (overridden per recipient below).
-  std::vector<gradecast::Slot> base(n);
+  // Slots are views into wire_values_, which is sized before any is taken.
+  wire_values_.resize(n + plans_.size());
+  base_.assign(n, std::nullopt);
   for (PartyId l = 0; l < n; ++l) {
     if (view.is_corrupt(l)) {
-      bool is_eq = false;
-      for (const EquivocationPlan& plan : plans_) {
-        if (plan.leader == l) is_eq = true;
-      }
-      if (!is_eq && !burnt[l]) base[l] = encode_value(cover_value_);
+      if (equivocating(l) || burnt(l)) continue;
+      wire_values_[l] = encode_value_array(cover_value_);
     } else if (observed_.contains(l)) {
-      base[l] = encode_value(observed_.at(l));
+      wire_values_[l] = encode_value_array(observed_.at(l));
+    } else {
+      continue;
     }
+    base_[l] = gradecast::ByteView(wire_values_[l]);
+  }
+  for (std::size_t k = 0; k < plans_.size(); ++k) {
+    wire_values_[n + k] = encode_value_array(plans_[k].value);
   }
 
   const std::uint8_t tag =
       support_phase ? gradecast::kTagSupport : gradecast::kTagEcho;
   for (const PartyId c : view.corrupt()) {
     for (PartyId rcv = 0; rcv < n; ++rcv) {
-      std::vector<gradecast::Slot> slots = base;
-      for (const EquivocationPlan& plan : plans_) {
+      slots_ = base_;
+      for (std::size_t k = 0; k < plans_.size(); ++k) {
+        const EquivocationPlan& plan = plans_[k];
         const auto& targets =
             support_phase ? plan.camp : plan.supporters;
         if (std::find(targets.begin(), targets.end(), rcv) != targets.end()) {
-          slots[plan.leader] = encode_value(plan.value);
+          slots_[plan.leader] = gradecast::ByteView(wire_values_[n + k]);
         }
       }
-      view.send(c, rcv, gradecast::encode_slots(tag, slots));
+      gradecast::encode_slots_into(msg_, tag, slots_);
+      view.send(c, rcv, std::span<const std::uint8_t>(msg_));
     }
   }
 

@@ -38,7 +38,9 @@
 #include <vector>
 
 #include "common/types.h"
+#include "gradecast/wire.h"
 #include "realaa/real_aa.h"
+#include "realaa/wire.h"
 #include "sim/adversary.h"
 
 namespace treeaa::realaa {
@@ -74,6 +76,8 @@ class SplitAdversary final : public sim::Adversary {
   void plan_iteration(sim::RoundView& view);
   void send_leader_phase(sim::RoundView& view);
   void send_slot_phase(sim::RoundView& view, bool support_phase);
+  [[nodiscard]] bool equivocating(PartyId p) const;  // in this iteration
+  [[nodiscard]] bool burnt(PartyId p) const;
 
   Options opts_;
   std::size_t iterations_;
@@ -84,6 +88,12 @@ class SplitAdversary final : public sim::Adversary {
   std::vector<EquivocationPlan> plans_;
   std::vector<PartyId> dead_;  // equivocators burnt in earlier iterations
   double cover_value_ = 0.0;   // consistent value for non-equivocating corrupt
+  // Send scratch, reused every round: the wire form of each leader's slot
+  // value (then of each plan's value), the slot views, and the message.
+  std::vector<ValueBytes> wire_values_;
+  std::vector<gradecast::SlotView> base_;
+  std::vector<gradecast::SlotView> slots_;
+  Bytes msg_;
 };
 
 }  // namespace treeaa::realaa

@@ -12,7 +12,7 @@ std::size_t Config::iterations() const {
   return iterations_for(mode, known_range, eps, n, t);
 }
 
-double trimmed_update(std::vector<double> w, std::size_t t, UpdateRule rule) {
+double trimmed_update(std::span<double> w, std::size_t t, UpdateRule rule) {
   TREEAA_REQUIRE_MSG(w.size() > 2 * t,
                      "trimmed update needs |w| > 2t (|w| = " << w.size()
                                                              << ", t = " << t
@@ -32,6 +32,10 @@ double trimmed_update(std::vector<double> w, std::size_t t, UpdateRule rule) {
   return 0.0;
 }
 
+double trimmed_update(std::vector<double> w, std::size_t t, UpdateRule rule) {
+  return trimmed_update(std::span<double>(w), t, rule);
+}
+
 RealAAProcess::RealAAProcess(const Config& config, PartyId self, double input)
     : config_(config),
       iterations_(config.iterations()),
@@ -40,6 +44,9 @@ RealAAProcess::RealAAProcess(const Config& config, PartyId self, double input)
   TREEAA_REQUIRE(config.n > 3 * config.t);
   TREEAA_REQUIRE(self < config.n);
   faulty_.assign(config.n, false);
+  history_.reserve(iterations_ + 1);
+  iteration_stats_.reserve(iterations_);
+  w_.reserve(config.n);
   history_.push_back(value_);
   if (iterations_ == 0) output_ = value_;
 }
@@ -48,8 +55,12 @@ void RealAAProcess::on_round_begin(Round, sim::Mailer& out) {
   if (output_.has_value()) return;  // done; stay silent if driven further
   const std::size_t step = local_round_ % gradecast::kRounds;
   if (step == 0) {
-    batch_.emplace(self_, config_.n, config_.t, encode_value(value_),
-                   faulty_);
+    const ValueBytes wire = encode_value_array(value_);
+    if (batch_.has_value()) {
+      batch_->restart(wire, faulty_);
+    } else {
+      batch_.emplace(self_, config_.n, config_.t, wire, faulty_);
+    }
   }
   batch_->on_step_begin(step, out);
 }
@@ -67,8 +78,7 @@ void RealAAProcess::finish_iteration() {
   // The iteration ending now, 1-based (element 0 of history_ is the input).
   const std::size_t iteration = history_.size();
   IterationStats stats;
-  std::vector<double> w;
-  w.reserve(config_.n);
+  w_.clear();
   for (PartyId l = 0; l < config_.n; ++l) {
     const gradecast::GradedValue& gv = results[l];
     switch (gv.grade) {
@@ -95,23 +105,33 @@ void RealAAProcess::finish_iteration() {
         // Grade >= 1 values are used even from leaders already in the
         // fault set: by G2/G3 every honest party with grade >= 1 holds
         // this same value, so inclusion is as consistent as possible.
-        w.push_back(*value);
+        w_.push_back(*value);
       }
     }
     if (faulty_[l] && !known_faulty) {
       detections_.push_back(Detection{iteration, l});
     }
   }
-  // All honest leaders are present in w (they earn grade 2 everywhere and
-  // are never marked faulty), so |w| >= n - t > 2t.
-  TREEAA_CHECK(w.size() > 2 * config_.t);
-  stats.used = w.size();
-  value_ = trimmed_update(std::move(w), config_.t, config_.update);
+  // All honest leaders are present in W (they earn grade 2 everywhere and
+  // are never marked faulty), so |W| >= n - t > 2t on the paper's perfect
+  // channels. A lossy network beyond the fault budget can starve W; then
+  // no trimmed update is safe, so the party keeps its value and records
+  // the iteration as starved (sim::Engine raises on it when its channels
+  // are perfect).
+  stats.used = w_.size();
+  if (w_.size() > 2 * config_.t) {
+    value_ = trimmed_update(std::span<double>(w_), config_.t, config_.update);
+  } else {
+    stats.starved = 1;
+    ++starved_;
+  }
   stats.value_after = value_;
   iteration_stats_.push_back(stats);
   history_.push_back(value_);
-  if (history_.size() == iterations_ + 1) output_ = value_;
-  batch_.reset();
+  if (history_.size() == iterations_ + 1) {
+    output_ = value_;
+    batch_.reset();
+  }
 }
 
 }  // namespace treeaa::realaa

@@ -44,6 +44,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -118,6 +119,11 @@ class RealAAProcess final : public RealAgreement {
     return count;
   }
 
+  /// Iterations that ended with |W| <= 2t (see IterationStats::starved).
+  [[nodiscard]] std::size_t starved_iterations() const override {
+    return starved_;
+  }
+
   [[nodiscard]] const Config& config() const { return config_; }
 
   // --- Per-iteration observability ----------------------------------------
@@ -130,6 +136,10 @@ class RealAAProcess final : public RealAgreement {
     std::uint64_t grade1 = 0;
     std::uint64_t grade2 = 0;
     std::uint64_t used = 0;    // |W| fed into the trimmed update
+    /// 1 if |W| <= 2t, so no trimmed update was possible and the party kept
+    /// its value. Impossible on perfect channels (every honest leader is in
+    /// W); a lossy network beyond the fault budget can cause it.
+    std::uint64_t starved = 0;
     double value_after = 0.0;  // value held after the update
   };
   [[nodiscard]] const std::vector<IterationStats>& iteration_stats() const {
@@ -155,15 +165,23 @@ class RealAAProcess final : public RealAgreement {
   std::vector<double> history_;
   std::vector<bool> faulty_;
   std::size_t local_round_ = 0;  // rounds driven so far
+  std::size_t starved_ = 0;
+  // One batch for the whole run: built at the first iteration, restarted
+  // at every later one, dropped once the output is fixed.
   std::optional<gradecast::BatchGradecast> batch_;
+  std::vector<double> w_;  // W of the iteration ending now (scratch)
   std::optional<double> output_;
   std::vector<IterationStats> iteration_stats_;
   std::vector<Detection> detections_;
 };
 
-/// The trimmed update shared with the baselines: sorts `w`, drops the t
-/// lowest and t highest, and applies `rule` to the remainder. Requires
-/// |w| > 2t.
+/// The trimmed update shared with the baselines: sorts `w` in place, drops
+/// the t lowest and t highest, and applies `rule` to the remainder.
+/// Requires |w| > 2t.
+[[nodiscard]] double trimmed_update(std::span<double> w, std::size_t t,
+                                    UpdateRule rule);
+
+/// trimmed_update on a copy of `w`.
 [[nodiscard]] double trimmed_update(std::vector<double> w, std::size_t t,
                                     UpdateRule rule);
 

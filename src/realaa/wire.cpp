@@ -6,10 +6,15 @@ namespace treeaa::realaa {
 
 namespace simd = perf::simd;
 
-Bytes encode_value(double v) {
-  Bytes out(8);
+ValueBytes encode_value_array(double v) {
+  ValueBytes out;
   simd::store_f64_le(out.data(), v);
   return out;
+}
+
+Bytes encode_value(double v) {
+  const ValueBytes b = encode_value_array(v);
+  return Bytes(b.begin(), b.end());
 }
 
 // Batched decoder: a value message is exactly 8 bytes (the old reader-based

@@ -9,6 +9,7 @@
 // Byzantine, exactly like a low grade does.
 #pragma once
 
+#include <array>
 #include <optional>
 #include <span>
 
@@ -16,6 +17,13 @@
 
 namespace treeaa::realaa {
 
+/// A value's wire form: its 8-byte little-endian IEEE-754 bit pattern.
+using ValueBytes = std::array<std::uint8_t, 8>;
+
+/// The wire form as a fixed array (no allocation).
+[[nodiscard]] ValueBytes encode_value_array(double v);
+
+/// The wire form as owned bytes.
 [[nodiscard]] Bytes encode_value(double v);
 
 /// Decodes a value; nullopt if malformed or non-finite. Accepts any byte

@@ -44,8 +44,13 @@ class RoundView {
   /// Injects a message from a corrupt party. `from` must be corrupt.
   void send(PartyId from, PartyId to, Bytes payload);
 
-  /// Sends `payload` from a corrupt party to every party.
-  void broadcast(PartyId from, const Bytes& payload);
+  /// As above, copying `payload` into a pooled buffer: an adversary that
+  /// encodes into one reused buffer sends without allocating.
+  void send(PartyId from, PartyId to, std::span<const std::uint8_t> payload);
+
+  /// Sends `payload` from a corrupt party to every party. The n messages
+  /// share one copy of the bytes, like an honest broadcast.
+  void broadcast(PartyId from, std::span<const std::uint8_t> payload);
 
   /// Adaptively corrupts `p` (requires budget). The messages p queued this
   /// round are retracted and returned (so the adversary can selectively
@@ -54,6 +59,8 @@ class RoundView {
   std::vector<Envelope> corrupt(PartyId p);
 
  private:
+  void require_corrupt(PartyId from) const;
+
   Engine& engine_;
   Round round_;
 };

@@ -21,16 +21,31 @@ std::size_t RoundView::corruption_budget_left() const {
 
 std::span<const Envelope> RoundView::queued() const { return engine_.queued_; }
 
-void RoundView::send(PartyId from, PartyId to, Bytes payload) {
+void RoundView::require_corrupt(PartyId from) const {
   TREEAA_REQUIRE_MSG(engine_.is_corrupt(from),
                      "adversary can only send from corrupt parties (party "
                          << from << " is honest)");
-  engine_.inject(from, to, std::move(payload));
 }
 
-void RoundView::broadcast(PartyId from, const Bytes& payload) {
+// The adversary acts on the dispatcher thread between the send phase's
+// join and delivery, so lane 0's pool is free to hand out payloads.
+void RoundView::send(PartyId from, PartyId to, Bytes payload) {
+  require_corrupt(from);
+  engine_.inject(from, to, engine_.arenas_[0].adopt(std::move(payload)));
+}
+
+void RoundView::send(PartyId from, PartyId to,
+                     std::span<const std::uint8_t> payload) {
+  require_corrupt(from);
+  engine_.inject(from, to, engine_.arenas_[0].copy_of(payload));
+}
+
+void RoundView::broadcast(PartyId from,
+                          std::span<const std::uint8_t> payload) {
+  require_corrupt(from);
+  const perf::Payload shared = engine_.arenas_[0].copy_of(payload);
   for (PartyId to = 0; to < engine_.n(); ++to) {
-    send(from, to, payload);
+    engine_.inject(from, to, shared);
   }
 }
 
@@ -83,6 +98,12 @@ std::vector<PartyId> Engine::honest() const {
   return out;
 }
 
+std::uint64_t Engine::payload_pool_misses() const {
+  std::uint64_t misses = 0;
+  for (const perf::PayloadPool& pool : arenas_) misses += pool.misses();
+  return misses;
+}
+
 Process& Engine::process(PartyId p) {
   TREEAA_REQUIRE(p < n());
   TREEAA_REQUIRE_MSG(processes_[p] != nullptr, "no process for party " << p);
@@ -114,7 +135,7 @@ std::vector<Envelope> Engine::corrupt_party(PartyId p) {
   return retracted;
 }
 
-void Engine::inject(PartyId from, PartyId to, Bytes payload) {
+void Engine::inject(PartyId from, PartyId to, perf::Payload payload) {
   TREEAA_REQUIRE(to < n());
   // Guard against memory bombs from fuzzing adversaries.
   TREEAA_REQUIRE_MSG(payload.size() <= (1u << 24),
@@ -212,6 +233,7 @@ void Engine::run(Round rounds) {
     }
     delivery_phase(r);
     if (tracer_ != nullptr) tracer_->on_phase_end(r, Phase::kHandle);
+    if (link_layer_ == nullptr) require_unstarved();
     // Inboxes are fully consumed (processes copy what they keep); release
     // each payload's last reference back into an arena so next round's
     // broadcasts reuse the control blocks and byte capacity. Round-robin
@@ -224,6 +246,19 @@ void Engine::run(Round rounds) {
         if (++recycle_cursor_ == arenas_.size()) recycle_cursor_ = 0;
       }
     }
+  }
+}
+
+// On perfect channels every honest party reaches its quorum each iteration
+// (paper §2, t < n/3), so a starved iteration means a broken protocol or a
+// fault budget the engine was not told about — never a recordable outcome.
+void Engine::require_unstarved() const {
+  for (PartyId p = 0; p < n(); ++p) {
+    if (corrupt_[p]) continue;
+    const std::size_t starved = processes_[p]->starved_iterations();
+    TREEAA_CHECK_MSG(starved == 0,
+                     "honest party " << p << " starved " << starved
+                                     << " iteration(s) on perfect channels");
   }
 }
 

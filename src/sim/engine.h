@@ -88,6 +88,11 @@ class Engine {
   /// obs drivers snapshot its DispatchStats to report per-run deltas.
   [[nodiscard]] const perf::WorkerPool* pool() const { return pool_.get(); }
 
+  /// Control blocks the engine's payload pools took from the heap so far
+  /// (perf::PayloadPool::misses summed over lanes). Flat once the pools
+  /// hold a round's worth of payloads.
+  [[nodiscard]] std::uint64_t payload_pool_misses() const;
+
   /// The process installed for p (for result extraction by harnesses).
   [[nodiscard]] Process& process(PartyId p);
 
@@ -95,10 +100,11 @@ class Engine {
   friend class RoundView;
 
   std::vector<Envelope> corrupt_party(PartyId p);
-  void inject(PartyId from, PartyId to, Bytes payload);
+  void inject(PartyId from, PartyId to, perf::Payload payload);
   void send_phase(Round r);
   void send_phase_parallel(Round r);
   void delivery_phase(Round r);
+  void require_unstarved() const;
 
   std::size_t t_;
   std::size_t threads_;
@@ -123,10 +129,12 @@ class Engine {
   std::vector<std::size_t> inbox_offsets_;  // recipient p owns [p, p + 1)
 
   // Parallel-phase state. arenas_[lane] recycles payload control blocks for
-  // the Mailer running on that lane (one arena at threads_ == 1). In the
-  // parallel send phase each lane's Mailer writes to staging_[lane]; after
-  // the join the dispatcher concatenates the lanes in lane order into
-  // queued_, which is exactly the serial party-ascending order.
+  // the Mailer running on that lane (one arena at threads_ == 1); the
+  // adversary, which acts on the dispatcher thread, draws from arenas_[0].
+  // In the parallel send phase each lane's Mailer writes to
+  // staging_[lane]; after the join the dispatcher concatenates the lanes
+  // in lane order into queued_, which is exactly the serial
+  // party-ascending order.
   // recycle_cursor_ round-robins freed payloads across arenas so every
   // lane's pool stays warm.
   perf::WorkerPool::Lease pool_;

@@ -86,6 +86,14 @@ class Process {
   /// stay in send order). Byzantine senders may deliver anything, including
   /// garbage and duplicates — implementations must tolerate both.
   virtual void on_round_end(Round r, std::span<const Envelope> inbox) = 0;
+
+  /// Iterations this party finished without the quorum the synchronous
+  /// model guarantees it, so it kept its value instead of updating (RealAA
+  /// with |W| <= 2t). Only lossy channels — an attached link layer or a
+  /// socket mesh under a fault plan beyond the fault budget — can starve
+  /// an iteration; on the engine's perfect channels it is an internal
+  /// error, and Engine::run raises InternalError for it.
+  [[nodiscard]] virtual std::size_t starved_iterations() const { return 0; }
 };
 
 }  // namespace treeaa::sim

@@ -46,9 +46,9 @@ void FuzzAdversary::act(RoundView& view) {
   for (std::size_t i = 0; i < messages_per_round_; ++i) {
     const PartyId from = rng_.pick(victims_);
     const PartyId to = static_cast<PartyId>(rng_.index(view.n()));
-    Bytes payload(rng_.index(max_payload_ + 1));
-    for (auto& b : payload) b = static_cast<std::uint8_t>(rng_.next());
-    view.send(from, to, std::move(payload));
+    payload_.resize(rng_.index(max_payload_ + 1));
+    for (auto& b : payload_) b = static_cast<std::uint8_t>(rng_.next());
+    view.send(from, to, std::span<const std::uint8_t>(payload_));
   }
 }
 
@@ -70,7 +70,7 @@ void ReplayAdversary::act(RoundView& view) {
     for (std::size_t i = 0; i < messages_per_round_; ++i) {
       const PartyId from = rng_.pick(victims_);
       const PartyId to = static_cast<PartyId>(rng_.index(view.n()));
-      view.send(from, to, rng_.pick(recorded_));
+      view.send(from, to, std::span<const std::uint8_t>(rng_.pick(recorded_)));
     }
   }
   // Record a bounded sample of this round's honest payloads.

@@ -63,6 +63,7 @@ class FuzzAdversary final : public Adversary {
   Rng rng_;
   std::size_t messages_per_round_;
   std::size_t max_payload_;
+  Bytes payload_;  // send scratch, reused every message
 };
 
 /// Corrupts a fixed set; every round each victim re-sends payloads recorded

@@ -93,6 +93,14 @@ TEST(RegistryTest, EveryRegisteredProtocolRunsAndAgrees) {
   const auto path = make_path(9);
   const graphs::BlockIndex block_index(graphs::make_clique_chain(10, 4));
   const std::size_t n = 7, t = 2;
+  // No honest party may starve an iteration (|W| <= 2t): on the engine's
+  // perfect channels a starved iteration raises InternalError, which this
+  // wrapper turns into a test failure naming the party.
+  const auto run_protocol = [](harness::RunSpec spec) {
+    harness::RunOutcome out;
+    EXPECT_NO_THROW(out = harness::run_protocol(std::move(spec)));
+    return out;
+  };
 
   for (const harness::ProtocolKind p : harness::all_protocols()) {
     SCOPED_TRACE(harness::protocol_name(p));
@@ -107,7 +115,7 @@ TEST(RegistryTest, EveryRegisteredProtocolRunsAndAgrees) {
         spec.vertex_inputs.push_back(q % 2 == 0 ? end_a : end_b);
       }
       const auto inputs = spec.vertex_inputs;
-      auto out = harness::run_protocol(std::move(spec));
+      auto out = run_protocol(std::move(spec));
       EXPECT_TRUE(out.corrupt.empty());
       const auto check = graphs::check_agreement(
           block_index, inputs, out.honest_vertex_outputs());
@@ -121,7 +129,7 @@ TEST(RegistryTest, EveryRegisteredProtocolRunsAndAgrees) {
       spec.tree = &tree;
       spec.vertex_inputs = harness::spread_vertex_inputs(tree, n);
       const auto inputs = spec.vertex_inputs;
-      auto out = harness::run_protocol(std::move(spec));
+      auto out = run_protocol(std::move(spec));
       EXPECT_TRUE(out.corrupt.empty());
       if (p == harness::ProtocolKind::kPathsFinder) {
         // Phase 1 alone: every party must output a root-anchored path.
@@ -142,7 +150,7 @@ TEST(RegistryTest, EveryRegisteredProtocolRunsAndAgrees) {
       spec.eps = 0.5;
       spec.known_range = 100.0;
       spec.real_inputs = harness::spread_real_inputs(n, 0.0, 100.0);
-      auto out = harness::run_protocol(std::move(spec));
+      auto out = run_protocol(std::move(spec));
       const auto honest = out.honest_real_outputs();
       ASSERT_EQ(honest.size(), n);
       const auto [lo, hi] =

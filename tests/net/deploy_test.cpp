@@ -6,6 +6,7 @@
 
 #include <stdexcept>
 
+#include "common/rng.h"
 #include "trees/generators.h"
 
 namespace treeaa::net {
@@ -124,6 +125,26 @@ TEST(Deploy, CrosscheckThreadsNeverChangeReport) {
   EXPECT_TRUE(parallel.sim_match);
   EXPECT_EQ(parallel.sim_outputs, serial.sim_outputs);
   EXPECT_EQ(parallel.report.to_json(), serial.report.to_json());
+}
+
+TEST(Deploy, OverBudgetFaultPlanEndsInAFailedReport) {
+  // Delaying 30% of all frames starves honest RealAA iterations (|W| <= 2t)
+  // far beyond the t = 2 budget. That is a recorded outcome, not an abort:
+  // the parties keep their values, both worlds agree, and the verdict says
+  // the guarantees did not hold.
+  Rng rng(4);
+  const auto tree = make_random_tree(25, rng);
+  const auto inputs = spread_inputs(tree, 7);
+  DeployConfig cfg;
+  cfg.corrupt_count = 0;
+  cfg.faults = FaultPlan::parse("delay=0.3,crash=2@4");
+  DeployResult result;
+  ASSERT_NO_THROW(result = run_tree_aa_net(tree, inputs, 2, cfg));
+  EXPECT_FALSE(result.ok());
+  EXPECT_TRUE(result.sim_match);
+  EXPECT_FALSE(result.check.valid && result.check.one_agreement);
+  EXPECT_NE(result.report.to_json().find("\"one_agreement\":false"),
+            std::string::npos);
 }
 
 TEST(Deploy, ValidatesConfiguration) {

@@ -6,11 +6,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <span>
 
 #include "harness/runner.h"
 #include "realaa/adversaries.h"
 #include "realaa/wire.h"
 #include "sim/engine.h"
+#include "sim/link.h"
 #include "sim/strategies.h"
 
 namespace treeaa::realaa {
@@ -319,6 +322,67 @@ TEST(TrimmedUpdate, RequiresEnoughValues) {
   EXPECT_THROW(
       (void)trimmed_update({1, 2}, 1, UpdateRule::kTrimmedMean),
       std::invalid_argument);
+}
+
+TEST(TrimmedUpdate, SortsASpanInPlace) {
+  std::vector<double> w{9, -100, 5, 100, 7};
+  EXPECT_EQ(trimmed_update(std::span<double>(w), 1, UpdateRule::kTrimmedMean),
+            7.0);
+  EXPECT_EQ(w, (std::vector<double>{-100, 5, 7, 9, 100}));
+}
+
+// --- Starved iterations ------------------------------------------------------
+
+/// Delivers only the messages a party sends itself: every iteration ends
+/// with |W| <= 2t, as under a network fault plan far beyond the budget.
+class SelfOnlyLinks final : public sim::LinkLayer {
+ public:
+  std::vector<sim::Envelope> deliver(
+      Round, std::vector<sim::Envelope> queued) override {
+    std::vector<sim::Envelope> out;
+    for (auto& e : queued) {
+      if (e.from == e.to) out.push_back(std::move(e));
+    }
+    return out;
+  }
+};
+
+TEST(RealAAStarved, LossyLinksKeepTheValueAndCountTheIteration) {
+  const auto cfg = make_config(4, 1, 100.0);
+  ASSERT_GE(cfg.iterations(), 2u);
+  sim::Engine engine(4, 1);
+  std::vector<RealAAProcess*> procs;
+  for (PartyId p = 0; p < 4; ++p) {
+    auto proc = std::make_unique<RealAAProcess>(cfg, p, 10.0 * p);
+    procs.push_back(proc.get());
+    engine.set_process(p, std::move(proc));
+  }
+  SelfOnlyLinks links;
+  engine.set_link_layer(&links);
+  engine.run(static_cast<Round>(cfg.rounds()));
+  for (PartyId p = 0; p < 4; ++p) {
+    EXPECT_EQ(procs[p]->output(), 10.0 * p);
+    EXPECT_EQ(procs[p]->starved_iterations(), cfg.iterations());
+    for (const auto& stats : procs[p]->iteration_stats()) {
+      EXPECT_EQ(stats.starved, 1u);
+      EXPECT_EQ(stats.used, 0u);
+      EXPECT_EQ(stats.value_after, 10.0 * p);
+    }
+  }
+}
+
+TEST(RealAAStarved, PerfectChannelsRaiseInternalError) {
+  // The processes are told t = 1, but three of four parties are silenced:
+  // the lone honest party's iteration starves on perfect channels, which
+  // only a broken protocol or an unannounced fault budget can cause.
+  const auto cfg = make_config(4, 1, 100.0);
+  sim::Engine engine(4, 3);
+  for (PartyId p = 0; p < 4; ++p) {
+    engine.set_process(p, std::make_unique<RealAAProcess>(cfg, p, 10.0 * p));
+  }
+  engine.set_adversary(std::make_unique<sim::SilentAdversary>(
+      std::vector<PartyId>{1, 2, 3}));
+  EXPECT_THROW(engine.run(3), InternalError);
 }
 
 // --- Value wire --------------------------------------------------------------
